@@ -44,7 +44,7 @@ object EndToEndExperiments {
       val m = mk()
       var cum = 0.0
       instances.zipWithIndex.foreach { case ((t, b), i) =>
-        val (_, sec) = time { val (df, _) = m.run(t, b); df.count() }
+        val (_, sec) = time(BenchUtil.run(m.run(t, b)._1))
         cum += sec
         if (checkpoints.contains(i + 1)) cumAt((stratName, i + 1)) = cum
       }

@@ -3,6 +3,7 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.algebra._
 import repro.core._
+import repro.storage.MemTableStore
 import repro.workloads.TpchLite
 import BenchUtil._
 
@@ -18,6 +19,7 @@ object MemExperiments {
     spark.conf.set("spark.sql.shuffle.partitions", "16")
     val mem = TpchLite.catalog(spark, sf).map { case (k, v) => k -> v.cache() }
     mem.values.foreach(_.count())
+    val store = new MemTableStore(mem)
     header("T5", "Main-memory (MonetDB analog): runtime and capture overhead, cf. Fig. 11f-i",
       "query", "variant", "seconds", "speedup", "captureSec", "captureOverheadPct")
     for (w <- TpchLite.queries if w.name != "Q1") {
@@ -29,8 +31,10 @@ object MemExperiments {
           RangePartition.equiDepth(mem(t), t, a, types(a), nf)
         }.toSeq
         val (sketches, capSec) = time(Capture.capture(w.q, parts, mem))
-        val useSec = timed(reps = reps)(BenchUtil.run(
-          ToSpark.compile(w.q, Use.filteredCatalog(mem, sketches))))
+        val useCat = mem.map { case (t, df) =>
+          t -> sketches.get(t).fold(df)(store.scanWithSketch(spark, t, _))
+        }
+        val useSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, useCat)))
         row("T5", w.name, s"PS$nf", useSec, noPs / useSec, capSec, (capSec / noPs - 1) * 100)
       }
     }

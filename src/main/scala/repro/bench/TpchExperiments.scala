@@ -2,7 +2,7 @@ package repro.bench
 
 import java.nio.file.Files
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
 import repro.storage.ZoneMapStore
@@ -111,11 +111,11 @@ object TpchExperiments {
         RangePartition.equiDepth(mem(t), t, a, types(a), nFrags)
       }.toSeq
       val sketches = Capture.capture(w.q, parts, mem)
+      def decoded(decode: CapturedSketch => Column): Map[String, DataFrame] =
+        mem.map { case (t, df) => t -> sketches.get(t).fold(df)(s => df.filter(decode(s))) }
       val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, mem)))
-      val orSec = timed(reps = reps)(BenchUtil.run(
-        ToSpark.compile(w.q, Use.filteredCatalog(mem, sketches, binarySearch = false))))
-      val bsSec = timed(reps = reps)(BenchUtil.run(
-        ToSpark.compile(w.q, Use.filteredCatalog(mem, sketches, binarySearch = true))))
+      val orSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, decoded(_.toColumn))))
+      val bsSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, decoded(_.membership))))
       row("T4", w.name, noPs, orSec, bsSec)
     }
   }

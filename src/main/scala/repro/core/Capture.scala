@@ -86,28 +86,13 @@ object Capture {
   /** Fragment index of the partition attribute, by CASE chain or UDF. */
   def fragIndexColumn(p: RangePartition, init: InitMethod): Column = init match {
     case CaseInit      => p.caseColumn(col(p.attr)).cast("int")
-    case BinSearchInit => binSearchUdf(p)(col(p.attr))
-  }
-
-  private def binSearchUdf(p: RangePartition): UserDefinedFunction = p.attrType match {
-    case TLong   => udf((v: Long) => p.fragmentOf(v))
-    case TInt    => udf((v: Int) => p.fragmentOf(v))
-    case TDouble => udf((v: Double) => p.fragmentOf(v))
-    case TString => udf((v: String) => p.fragmentOf(v))
-    case TDate   => udf((v: java.sql.Date) => p.fragmentOf(v))
+    case BinSearchInit => p.lookupColumn(identity[Int])
   }
 
   /** Singleton bitset (SNG) for the fragment of the attribute value. */
-  private def sngUdf(p: RangePartition): UserDefinedFunction = {
+  private def sngColumn(p: RangePartition): Column = {
     val nw = BitSketch.nWords(p.nFragments)
-    def sng(i: Int): Array[Long] = { val w = new Array[Long](nw); w(i >> 6) |= 1L << (i & 63); w }
-    p.attrType match {
-      case TLong   => udf((v: Long) => sng(p.fragmentOf(v)))
-      case TInt    => udf((v: Int) => sng(p.fragmentOf(v)))
-      case TDouble => udf((v: Double) => sng(p.fragmentOf(v)))
-      case TString => udf((v: String) => sng(p.fragmentOf(v)))
-      case TDate   => udf((v: java.sql.Date) => sng(p.fragmentOf(v)))
-    }
+    p.lookupColumn { i => val w = new Array[Long](nw); w(i >> 6) |= 1L << (i & 63); w }
   }
 
   // --- capture ----------------------------------------------------------
@@ -152,7 +137,7 @@ object Capture {
               case DelayMerge =>
                 (base.withColumn(lcol(name), fragIndexColumn(p, cfg.init)), Map(name -> FragIdx))
               case _ =>
-                (base.withColumn(lcol(name), sngUdf(p)(col(p.attr))), Map(name -> Bitset))
+                (base.withColumn(lcol(name), sngColumn(p)), Map(name -> Bitset))
             }
         }
       case Select(pred, c) =>

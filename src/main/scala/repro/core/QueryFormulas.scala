@@ -131,6 +131,18 @@ final class QueryFormulas(strIndex: Map[String, Long],
       case (a, RGe) => Atom(Ge, Lin.v(vn(a, primed = false)), Lin.v(vn(a, primed = true)))
     })
 
+  /** Goal `a = a'`: the attribute is equal on both sides. */
+  def eqGoal(a: String): Formula =
+    Atom(Eq, Lin.v(vn(a, primed = false)), Lin.v(vn(a, primed = true)))
+
+  /** Whether `conds(child) → input(a) op 0` holds for an aggregate's input,
+    * the sign condition of the sum/min/max rules in Figs. 3b and 4b.
+    */
+  def inputSign(a: Agg, child: Op, op: CmpOp): Boolean =
+    exprLin(a.input, primed = false).exists { lin =>
+      Solver.valid(conds(child, primed = false) ==> Atom(op, lin, Lin.c(0L)))
+    }
+
   /** Relationship of a projected expression given input-attribute relations:
     * equality propagates; ≤/≥ propagate through monotone linear maps.
     */
@@ -156,6 +168,15 @@ final class QueryFormulas(strIndex: Map[String, Long],
 }
 
 object QueryFormulas {
+
+  /** Ψ relating every given column by `=`. */
+  def allEq(cols: Iterable[String]): Map[String, Rel] = cols.map(_ -> (REq: Rel)).toMap
+
+  /** Ψ of a union: only relations that are `=` on both branches survive. */
+  def unionPsi(l: Map[String, Rel], r: Map[String, Rel]): Map[String, Rel] =
+    (l.keySet ++ r.keySet).map { k =>
+      k -> (if (l.get(k).contains(REq) && r.get(k).contains(REq)) REq else RUnknown)
+    }.toMap
 
   /** Collect every string constant in queries + stats and index it in
     * lexicographic order (the order embedding into ℚ).

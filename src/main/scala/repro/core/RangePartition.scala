@@ -1,7 +1,9 @@
 package repro.core
 
+import scala.reflect.runtime.universe.TypeTag
+
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, when}
+import org.apache.spark.sql.functions.{col, lit, udf, when}
 import repro.algebra._
 import repro.algebra.Lineage.compareAny
 import repro.stats.EquiDepth
@@ -40,15 +42,26 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
     */
   def caseColumn(c: Column): Column = {
     if (bounds.isEmpty) return lit(0)
-    var w = when(c <= litOf(bounds(0)), lit(0))
+    var w = when(c <= ToSpark.expr(Lit(bounds(0))), lit(0))
     var i = 1
-    while (i < bounds.size) { w = w.when(c <= litOf(bounds(i)), lit(i)); i += 1 }
+    while (i < bounds.size) { w = w.when(c <= ToSpark.expr(Lit(bounds(i))), lit(i)); i += 1 }
     w.otherwise(lit(bounds.size))
   }
 
-  private def litOf(v: Any): Column = v match {
-    case d: java.sql.Date => lit(d.toString).cast("date")
-    case x                => lit(x)
+  /** UDF column mapping the attribute value `v` to `f(fragmentOf(v))`: the
+    * binary-search lookup behind capture INIT, capture SNG and membership
+    * decode. Long/Int/Double inputs are Scala primitives, so Spark yields
+    * NULL for a NULL input without calling `f`.
+    */
+  def lookupColumn[R: TypeTag](f: Int => R): Column = {
+    val lookup = attrType match {
+      case TLong   => udf((v: Long) => f(fragmentOf(v)))
+      case TInt    => udf((v: Int) => f(fragmentOf(v)))
+      case TDouble => udf((v: Double) => f(fragmentOf(v)))
+      case TString => udf((v: String) => f(fragmentOf(v)))
+      case TDate   => udf((v: java.sql.Date) => f(fragmentOf(v)))
+    }
+    lookup(col(attr))
   }
 
   /** Merge an ascending fragment set into maximal adjacent runs, returned as
@@ -85,19 +98,7 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
   }
 
   /** DataFrame filter for the given fragments (OR-of-ranges decode). */
-  def toColumn(frags: Seq[Int]): Column = {
-    if (frags.isEmpty) return lit(false)
-    if (frags.size == nFragments) return lit(true)
-    val a = col(attr)
-    RangePartition.balanced(mergedRanges(frags).map { case (lo, hi) =>
-      (lo, hi) match {
-        case (None, Some(h))    => a <= litOf(h)
-        case (Some(l), Some(h)) => (a > litOf(l)) && (a <= litOf(h))
-        case (Some(l), None)    => a > litOf(l)
-        case (None, None)       => lit(true)
-      }
-    })(_ || _)
-  }
+  def toColumn(frags: Seq[Int]): Column = ToSpark.pred(toPred(frags))
 }
 
 object RangePartition {
@@ -119,7 +120,7 @@ object RangePartition {
 }
 
 /** A captured provenance sketch: the partition plus the fragment bitvector.
-  * `Q[P]` instrumentation and the Catalyst rule decode it via `partition`.
+  * `Q[P]` instrumentation and the table stores decode it via `partition`.
   */
 final case class CapturedSketch(partition: RangePartition, bits: BitSketch) {
   require(bits.nFragments == partition.nFragments, "sketch/partition mismatch")
@@ -128,6 +129,14 @@ final case class CapturedSketch(partition: RangePartition, bits: BitSketch) {
   def selectivity: Double = bits.selectivity
   def toPred: Pred = partition.toPred(fragments)
   def toColumn: Column = partition.toColumn(fragments)
+  /** Binary-search membership test: O(log n) per row, but opaque to Parquet. */
+  def membership: Column = partition.lookupColumn(bits.get)
+  /** The decode every store applies (Sec. 8.1): the OR of merged ranges,
+    * which Parquet can push down, unless the sketch has so many disjoint
+    * ranges that evaluating the disjunction per row would dominate.
+    */
+  def filter: Column =
+    if (partition.mergedRanges(fragments).size <= 512) toColumn else membership
   /** Superset union (Lemma 5: adding fragments keeps a sketch safe). */
   def union(o: CapturedSketch): CapturedSketch = {
     require(o.partition == partition, "sketches over different partitions")

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.algebra._
-import repro.smt.{Atom, Eq => SEq, Formula, FTrue, Lin, Solver}
+import repro.smt.{Formula, Solver}
 
 /** Sketch reuse across instances of a parameterized query (paper Sec. 6).
   *
@@ -33,11 +33,6 @@ object ReuseChecker {
     Solver.valid(ante ==> qf.predOf(qOld, primed = false, ante = false))
   }
 
-  private def allEq(cols: Seq[String]): Map[String, Rel] = cols.map(_ -> (REq: Rel)).toMap
-
-  private def eqGoal(qf: QueryFormulas, a: String): Formula =
-    Atom(SEq, Lin.v(qf.vn(a, primed = false)), Lin.v(qf.vn(a, primed = true)))
-
   /** Ψ ∧ conds(Q₁) ∧ conds(Q₁') → goal. */
   private def checkImplies(qf: QueryFormulas, psi: Map[String, Rel],
                            subOld: Op, subNew: Op, goal: Formula): Boolean =
@@ -46,7 +41,7 @@ object ReuseChecker {
 
   /** Parallel walk of the two instances (identical shape by construction). */
   private def ge(qNew: Op, qOld: Op, qf: QueryFormulas): Info = (qNew, qOld) match {
-    case (t: TableRef, _) => Info(allEq(t.columns), ge = true)
+    case (t: TableRef, _) => Info(QueryFormulas.allEq(t.columns), ge = true)
 
     // Selections are NOT compared locally — only the global uconds test
     // (avoids the σ_{a=20}(σ_{a>30}) counterexample of Sec. 6).
@@ -59,7 +54,7 @@ object ReuseChecker {
     case (Aggregate(g, aggsN, cN), Aggregate(_, aggsO, cO)) =>
       val i = ge(cN, cO, qf)
       val groupsEqual = g.forall { gc =>
-        i.psi.get(gc).contains(REq) || checkImplies(qf, i.psi, cO, cN, eqGoal(qf, gc))
+        i.psi.get(gc).contains(REq) || checkImplies(qf, i.psi, cO, cN, qf.eqGoal(gc))
       }
       // ① / ② of Fig. 4b: group-containment via non-group-by predicates.
       val gSet = g.toSet
@@ -70,10 +65,7 @@ object ReuseChecker {
         ngp(cO, primed = false, ante = true) && exprs) ==> ngp(cN, primed = true, ante = false))
       val cond2 = Solver.valid((qf.psiFormula(i.psi) &&
         ngp(cN, primed = true, ante = true) && exprs) ==> ngp(cO, primed = false, ante = false))
-      def inputSign(a: Agg, op: repro.smt.CmpOp): Boolean =
-        qf.exprLin(a.input, primed = false).exists { lin =>
-          Solver.valid(qf.conds(cO, primed = false) ==> Atom(op, lin, Lin.c(0L)))
-        }
+      def inputSign(a: Agg, op: repro.smt.CmpOp): Boolean = qf.inputSign(a, cO, op)
       val aggPsi = aggsN.zip(aggsO).map { case (aN, aO) =>
         // Under ② each Q' group is a subset of its Q group, so: min grows
         // (b ≤ b'), count/max/positive-sum shrink (b ≥ b'). Min/max need no
@@ -91,7 +83,7 @@ object ReuseChecker {
     case (Distinct(cN), Distinct(cO)) =>
       val i = ge(cN, cO, qf)
       val ok = i.ge && cN.columns.forall { a =>
-        i.psi.get(a).contains(REq) || checkImplies(qf, i.psi, cO, cN, eqGoal(qf, a))
+        i.psi.get(a).contains(REq) || checkImplies(qf, i.psi, cO, cN, qf.eqGoal(a))
       }
       Info(i.psi, ok)
 
@@ -111,19 +103,14 @@ object ReuseChecker {
     case (Join(lN, rN, on), Join(lO, rO, _)) =>
       val li = ge(lN, lO, qf); val ri = ge(rN, rO, qf)
       val ok = li.ge && ri.ge && on.forall { case (a, b) =>
-        (li.psi.get(a).contains(REq) || checkImplies(qf, li.psi, lO, lN, eqGoal(qf, a))) &&
-        (ri.psi.get(b).contains(REq) || checkImplies(qf, ri.psi, rO, rN, eqGoal(qf, b)))
+        (li.psi.get(a).contains(REq) || checkImplies(qf, li.psi, lO, lN, qf.eqGoal(a))) &&
+        (ri.psi.get(b).contains(REq) || checkImplies(qf, ri.psi, rO, rN, qf.eqGoal(b)))
       }
       Info(li.psi ++ ri.psi, ok)
 
     case (UnionAll(lN, rN), UnionAll(lO, rO)) =>
       val li = ge(lN, lO, qf); val ri = ge(rN, rO, qf)
-      val keys = li.psi.keySet ++ ri.psi.keySet
-      val psi = keys.map { k =>
-        k -> (if (li.psi.get(k).contains(REq) && ri.psi.get(k).contains(REq)) REq
-              else RUnknown)
-      }.toMap
-      Info(psi, li.ge && ri.ge)
+      Info(QueryFormulas.unionPsi(li.psi, ri.psi), li.ge && ri.ge)
 
     case (a, b) => sys.error(s"instances differ in shape: $a vs $b")
   }

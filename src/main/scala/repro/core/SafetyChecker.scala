@@ -42,8 +42,6 @@ object SafetyChecker {
     own ++ q.children.flatMap(allAttrs)
   }
 
-  private def allEq(cols: Iterable[String]): Map[String, Rel] = cols.map(_ -> (REq: Rel)).toMap
-
   /** Ψ ∧ conds(Q₁') ∧ conds(Q₁) [∧ extra] → goal, discharged by the solver. */
   private def checkImplies(qf: QueryFormulas, psi: Map[String, Rel], sub: Op,
                            extra: Formula, goal: Formula): Boolean = {
@@ -52,15 +50,12 @@ object SafetyChecker {
     Solver.valid(ante ==> goal)
   }
 
-  private def eqGoal(qf: QueryFormulas, a: String): Formula =
-    Atom(SEq, Lin.v(qf.vn(a, primed = false)), Lin.v(qf.vn(a, primed = true)))
-
   private def analyze(q: Op, x: Set[String], qf: QueryFormulas): Info = {
     val x1 = x intersect baseAttrs(q)
     // X = ∅ for this subtree: D_PS keeps these relations unchanged (Fig. 3 row 1).
-    if (x1.isEmpty) return Info(allEq(allAttrs(q)), gc = true)
+    if (x1.isEmpty) return Info(QueryFormulas.allEq(allAttrs(q)), gc = true)
     q match {
-      case t: TableRef => Info(allEq(t.columns), gc = true)
+      case t: TableRef => Info(QueryFormulas.allEq(t.columns), gc = true)
 
       case Select(theta, c) =>
         val i = analyze(c, x, qf)
@@ -77,7 +72,7 @@ object SafetyChecker {
         val i = analyze(c, x, qf)
         val groupsEqual = g.forall { gc =>
           i.psi.get(gc).contains(REq) ||
-            checkImplies(qf, i.psi, c, FTrueF, eqGoal(qf, gc))
+            checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(gc))
         }
         val psiOut: Map[String, Rel] =
           i.psi ++ aggs.map(a => a.alias -> aggRel(a, g, c, x1, qf)).toMap
@@ -86,14 +81,14 @@ object SafetyChecker {
       case Distinct(c) =>
         val i = analyze(c, x, qf)
         val ok = i.gc && c.columns.forall { a =>
-          i.psi.get(a).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, eqGoal(qf, a))
+          i.psi.get(a).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(a))
         }
         Info(i.psi, ok)
 
       case TopK(order, _, c) =>
         val i = analyze(c, x, qf)
         val ok = i.gc && order.forall { case (o, _) =>
-          i.psi.get(o).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, eqGoal(qf, o))
+          i.psi.get(o).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(o))
         }
         Info(i.psi, ok)
 
@@ -101,21 +96,15 @@ object SafetyChecker {
         val li = analyze(l, x, qf); val ri = analyze(r, x, qf)
         val ok = li.gc && ri.gc && on.forall { case (a, b) =>
           (li.psi.get(a).contains(REq) ||
-            checkImplies(qf, li.psi, l, FTrueF, eqGoal(qf, a))) &&
+            checkImplies(qf, li.psi, l, FTrueF, qf.eqGoal(a))) &&
           (ri.psi.get(b).contains(REq) ||
-            checkImplies(qf, ri.psi, r, FTrueF, eqGoal(qf, b)))
+            checkImplies(qf, ri.psi, r, FTrueF, qf.eqGoal(b)))
         }
         Info(li.psi ++ ri.psi, ok)
 
       case UnionAll(l, r) =>
         val li = analyze(l, x, qf); val ri = analyze(r, x, qf)
-        // Only relations certain on both branches survive (Fig. 3 union Ψ).
-        val keys = li.psi.keySet ++ ri.psi.keySet
-        val psi = keys.map { k =>
-          k -> (if (li.psi.get(k).contains(REq) && ri.psi.get(k).contains(REq)) REq
-                else RUnknown)
-        }.toMap
-        Info(psi, li.gc && ri.gc)
+        Info(QueryFormulas.unionPsi(li.psi, ri.psi), li.gc && ri.gc)
     }
   }
 
@@ -133,10 +122,7 @@ object SafetyChecker {
       }
     }
     if (xInGroups) return REq
-    def inputSign(op: repro.smt.CmpOp): Boolean =
-      qf.exprLin(a.input, primed = false).exists { lin =>
-        Solver.valid(qf.conds(child, primed = false) ==> Atom(op, lin, Lin.c(0L)))
-      }
+    def inputSign(op: repro.smt.CmpOp): Boolean = qf.inputSign(a, child, op)
     a.fn match {
       case FCount => RLe // Case (ii): counts only shrink on a subset
       case FSum if inputSign(repro.smt.Ge) => RLe

@@ -1,17 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.udf
+import org.apache.spark.sql.DataFrame
 import repro.algebra._
 
 /** Using provenance sketches (paper Sec. 8).
   *
   * `Q[P]` is the identity on every operator except table accesses, which are
-  * wrapped in a selection decoding the sketch (Eq. 2). Two decodings are
-  * provided, matching the paper's optimizations (Sec. 8.1): the OR of merged
-  * adjacent ranges (exploitable by zone maps / Parquet pushdown) and an
-  * O(log n) binary-search membership UDF (faster for sketches with very many
-  * selected fragments on systems without skipping, Fig. 11c/f).
+  * wrapped in a selection decoding the sketch (Eq. 2). On Spark, sketch use
+  * goes through `TableStore.scanWithSketch`, which applies
+  * `CapturedSketch.filter` (the Sec. 8.1 OR-of-ranges vs binary-search
+  * choice) after any file pruning the store can do.
   */
 object Use {
 
@@ -22,33 +20,6 @@ object Use {
         case Some(s) => Select(s.toPred, t)
         case None    => t
       }
-    }
-
-  /** Membership test via binary search over the partition's ranges. */
-  def membershipColumn(s: CapturedSketch): Column = {
-    val p = s.partition
-    val bits = s.bits
-    def test(i: Int): Boolean = bits.get(i)
-    val f = p.attrType match {
-      case TLong   => udf((v: Long) => test(p.fragmentOf(v)))
-      case TInt    => udf((v: Int) => test(p.fragmentOf(v)))
-      case TDouble => udf((v: Double) => test(p.fragmentOf(v)))
-      case TString => udf((v: String) => test(p.fragmentOf(v)))
-      case TDate   => udf((v: java.sql.Date) => test(p.fragmentOf(v)))
-    }
-    f(org.apache.spark.sql.functions.col(p.attr))
-  }
-
-  /** Catalog with sketched tables pre-filtered at the DataFrame level. */
-  def filteredCatalog(catalog: Map[String, DataFrame],
-                      sketches: Map[String, CapturedSketch],
-                      binarySearch: Boolean = false): Map[String, DataFrame] =
-    catalog.map { case (name, df) =>
-      name -> (sketches.get(name) match {
-        case Some(s) if binarySearch => df.filter(membershipColumn(s))
-        case Some(s)                 => df.filter(s.toColumn)
-        case None                    => df
-      })
     }
 
   /** Runtime re-validation for τ_{O,C} (paper footnote 1): under the sketch,

@@ -1,7 +1,7 @@
 package repro.storage
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CapturedSketch, Use}
+import repro.core.CapturedSketch
 
 /** Abstraction over the two execution substrates of the evaluation:
   * a disk-based system with zone maps (Postgres analog) and a main-memory
@@ -17,17 +17,15 @@ trait TableStore {
     tableNames.map(t => t -> scan(spark, t)).toMap
 }
 
-/** Main-memory store: cached DataFrames; a sketch becomes a plain filter
-  * (optionally the binary-search membership UDF) — no skipping, like MonetDB
-  * without indexes (paper Sec. 9.3 "MonetDB" experiments).
+/** Main-memory store: cached DataFrames; a sketch becomes a plain filter —
+  * no skipping, like MonetDB without indexes (paper Sec. 9.3 "MonetDB"
+  * experiments).
   */
-final class MemTableStore(tables: Map[String, DataFrame],
-                          binarySearch: Boolean = false) extends TableStore {
+final class MemTableStore(tables: Map[String, DataFrame]) extends TableStore {
   def tableNames: Seq[String] = tables.keys.toSeq
   def scan(spark: SparkSession, table: String): DataFrame = tables(table)
   def scanWithSketch(spark: SparkSession, table: String, sketch: CapturedSketch): DataFrame =
-    if (binarySearch) tables(table).filter(Use.membershipColumn(sketch))
-    else tables(table).filter(sketch.toColumn)
+    tables(table).filter(sketch.filter)
 }
 
 /** Disk store over zone-mapped Parquet: sketches prune whole files before
@@ -42,7 +40,7 @@ final class ZoneMapTableStore(stores: Map[String, ZoneMapStore],
   def scanWithSketch(spark: SparkSession, table: String, sketch: CapturedSketch): DataFrame =
     stores.get(table) match {
       case Some(s) if s.attr == sketch.partition.attr => s.prunedScan(spark, sketch)._1
-      case Some(s) => s.scanAll(spark).filter(sketch.toColumn)
-      case None    => extra(table).filter(sketch.toColumn)
+      case Some(s) => s.scanAll(spark).filter(sketch.filter)
+      case None    => extra(table).filter(sketch.filter)
     }
 }

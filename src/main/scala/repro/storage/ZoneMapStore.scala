@@ -3,7 +3,7 @@ package repro.storage
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.algebra.Lineage.compareAny
-import repro.core.{BitSketch, CapturedSketch}
+import repro.core.CapturedSketch
 
 /** One zone: a Parquet file with min/max statistics on the zone attribute. */
 final case class FileZone(path: String, min: Any, max: Any, rows: Long)
@@ -24,9 +24,10 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
 
   // Memoized DataFrame handles: repeated executions of the same (or a
   // reused) sketch should not pay file listing + plan construction again —
-  // the DBMS analog keeps prepared plans. Keyed per session and sketch.
+  // the DBMS analog keeps prepared plans. Keyed per session and sketch
+  // (partition and bits: equal bits over other bounds select other rows).
   private val scanCache =
-    scala.collection.concurrent.TrieMap.empty[(SparkSession, Option[BitSketch]), (DataFrame, Int)]
+    scala.collection.concurrent.TrieMap.empty[(SparkSession, Option[CapturedSketch]), (DataFrame, Int)]
 
   /** Full scan — the No-PS baseline. */
   def scanAll(spark: SparkSession): DataFrame =
@@ -43,16 +44,14 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
     * predicate as a residual filter (zones are file-granular). Returns the
     * DataFrame and the number of files read (the skipping measure).
     *
-    * Residual decode follows Sec. 8.1: the OR of merged ranges when small
-    * (Parquet pushes it down → row-group skipping inside the surviving
-    * files), the O(log n) binary-search membership UDF when the sketch has
-    * many disjoint ranges — evaluating thousands of disjunctions per tuple
-    * would otherwise dominate, exactly the pathology the paper optimizes.
+    * The residual is `CapturedSketch.filter`: when it is the OR of merged
+    * ranges, Parquet pushes it down for row-group skipping inside the
+    * surviving files.
     */
   def prunedScan(spark: SparkSession, sketch: CapturedSketch): (DataFrame, Int) = {
     require(sketch.partition.attr == attr,
       s"sketch attr ${sketch.partition.attr} does not match zone attr $attr")
-    scanCache.getOrElseUpdate((spark, Some(sketch.bits)), {
+    scanCache.getOrElseUpdate((spark, Some(sketch)), {
       val frags = sketch.fragments
       if (frags.isEmpty) (scanAll(spark).filter(lit(false)), 0)
       else if (sketch.bits.isFull) (scanAll(spark), nFiles)
@@ -60,12 +59,7 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
         val ranges = sketch.partition.mergedRanges(frags)
         val files = matchingFiles(ranges)
         if (files.isEmpty) (scanAll(spark).filter(lit(false)), 0)
-        else {
-          val residual =
-            if (ranges.size <= 512) sketch.toColumn
-            else repro.core.Use.membershipColumn(sketch)
-          (spark.read.parquet(files.map(_.path): _*).filter(residual), files.size)
-        }
+        else (spark.read.parquet(files.map(_.path): _*).filter(sketch.filter), files.size)
       }
     })
   }

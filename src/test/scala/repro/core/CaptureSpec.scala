@@ -152,12 +152,10 @@ class UseSpec extends SparkSpec {
     assert(r.head("state") == "NY") // wrong answer, as in the paper
     assert(!Lineage.sameResult(r, Lineage.result(q2, db)))
   }
-  test("filteredCatalog OR-decode and binary-search membership agree") {
-    val sketches = Capture.capture(q2, Seq(fState), catalog)
-    val a = Use.filteredCatalog(catalog, sketches, binarySearch = false)("cities")
-      .collect().map(_.toString).sorted.toSeq
-    val b = Use.filteredCatalog(catalog, sketches, binarySearch = true)("cities")
-      .collect().map(_.toString).sorted.toSeq
+  test("OR-of-ranges decode and binary-search membership agree") {
+    val s = Capture.capture(q2, Seq(fState), catalog)("cities")
+    val a = citiesDf.filter(s.toColumn).collect().map(_.toString).sorted.toSeq
+    val b = citiesDf.filter(s.membership).collect().map(_.toString).sorted.toSeq
     assert(a == b && a.size == 3) // the three f1 rows
   }
   test("revalidateTopK accepts a sufficient sketch") {

@@ -1,85 +1,7 @@
 package repro.core
 
-import java.nio.file.Files
-
-import org.apache.spark.sql.catalyst.plans.logical.Filter
 import repro.{Fixtures, SparkSpec}
 import repro.algebra._
-import repro.storage.ZoneMapStore
-
-/** Catalyst integration: sketches injected as scan filters via
-  * `experimental.extraOptimizations` (the repo's extension-point layering).
-  */
-class SketchFilterRuleSpec extends SparkSpec {
-
-  private lazy val repo = new SketchRepository
-  private lazy val dir: String = {
-    val d = Files.createTempDirectory("rule").toString
-    val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
-    ZoneMapStore.write(df, d, "popden", 2)
-    SketchFilterRule.install(spark, repo)
-    d
-  }
-  private val fPopden = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
-
-  override def afterAll(): Unit = { repo.clear(); super.afterAll() }
-
-  test("registered sketch restricts a plain parquet scan") {
-    repo.register(dir, CapturedSketch(fPopden, BitSketch.fromFragments(2, Seq(1))))
-    try {
-      val rows = spark.read.parquet(dir).count()
-      assert(rows == 4) // only g2 rows (popden > 4000)
-    } finally repo.clear()
-  }
-
-  test("no registration: scan is untouched") {
-    assert(spark.read.parquet(dir).count() == 7)
-  }
-
-  test("injected filter appears exactly once in the optimized plan") {
-    repo.register(dir, CapturedSketch(fPopden, BitSketch.fromFragments(2, Seq(1))))
-    try {
-      val df = spark.read.parquet(dir).groupBy("state").count()
-      val optimized = df.queryExecution.optimizedPlan
-      val filters = optimized.collect { case f: Filter => f }
-      assert(filters.size == 1, s"plan:\n$optimized")
-      df.collect() // plan executes fine
-    } finally repo.clear()
-  }
-
-  test("query semantics preserved for a safe sketch (full coverage)") {
-    // a full sketch must not change any result
-    repo.register(dir, CapturedSketch(fPopden, BitSketch.full(2)))
-    try {
-      val got = spark.read.parquet(dir).groupBy("state").count()
-        .collect().map(r => (r.getString(0), r.getLong(1))).toMap
-      assert(got == Map("AK" -> 1L, "CA" -> 2L, "NY" -> 2L, "TX" -> 2L))
-    } finally repo.clear()
-  }
-
-  test("empty sketch yields an empty scan") {
-    repo.register(dir, CapturedSketch(fPopden, BitSketch.empty(2)))
-    try assert(spark.read.parquet(dir).count() == 0)
-    finally repo.clear()
-  }
-
-  test("repository path normalization") {
-    val r = new SketchRepository
-    val s = CapturedSketch(fPopden, BitSketch.full(2))
-    r.register("file:///a/b/", s)
-    assert(r.lookup("/a/b").isDefined)
-    assert(r.lookup("file:/a/b").isDefined)
-    r.unregister("/a/b")
-    assert(r.size == 0)
-  }
-
-  test("install is idempotent") {
-    SketchFilterRule.install(spark, repo)
-    SketchFilterRule.install(spark, repo)
-    val n = spark.experimental.extraOptimizations.count(_.isInstanceOf[SketchFilterRule])
-    assert(n == 1)
-  }
-}
 
 /** Self-tuning manager behaviour (Sec. 9.5 strategies). */
 class PbdsSpec extends SparkSpec {

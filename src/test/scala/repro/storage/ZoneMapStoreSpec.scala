@@ -2,6 +2,9 @@ package repro.storage
 
 import java.nio.file.Files
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.execution.FileSourceScanExec
 import repro.{Fixtures, SparkSpec, SynthData}
 import repro.algebra._
 import repro.core._
@@ -9,6 +12,20 @@ import repro.core._
 class ZoneMapStoreSpec extends SparkSpec {
 
   private def tmp(): String = Files.createTempDirectory("zms").toString
+
+  private lazy val citiesDf = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
+  private lazy val citiesStore =
+    new ZoneMapTableStore(Map("cities" -> ZoneMapStore.write(citiesDf, tmp(), "popden", 2)))
+  private val fPopden = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
+
+  private lazy val keys = SynthData.uniformKeys(spark, 20000, 1000000, seed = 9)
+  private lazy val keysStore = ZoneMapStore.write(keys, tmp(), "k", 8)
+
+  private def sortedKeys(df: DataFrame): Seq[Long] =
+    df.select("k").collect().map(_.getLong(0)).sorted.toSeq
+
+  private def hasUdf(df: DataFrame): Boolean =
+    df.queryExecution.optimizedPlan.exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF])))
 
   test("write + load builds a sorted zone map covering all rows") {
     val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
@@ -68,13 +85,66 @@ class ZoneMapStoreSpec extends SparkSpec {
     val p = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
     val sk = CapturedSketch(p, BitSketch.fromFragments(2, Seq(1)))
     val mem  = new MemTableStore(Map("cities" -> df))
-    val mem2 = new MemTableStore(Map("cities" -> df), binarySearch = true)
     val disk = new ZoneMapTableStore(Map("cities" -> zms))
     val expected = df.filter(sk.toColumn).collect().map(_.getLong(0)).sorted.toSeq
-    for (st <- Seq[TableStore](mem, mem2, disk)) {
+    for (st <- Seq[TableStore](mem, disk)) {
       val got = st.scanWithSketch(spark, "cities", sk)
         .select("popden").collect().map(_.getLong(0)).sorted.toSeq
       assert(got == expected, s"store=${st.getClass.getSimpleName}")
+    }
+  }
+
+  test("scanWithSketch restricts a zone-mapped scan to the sketch's rows") {
+    val sk = CapturedSketch(fPopden, BitSketch.fromFragments(2, Seq(1)))
+    assert(citiesStore.scanWithSketch(spark, "cities", sk).count() == 4) // popden > 4000
+  }
+
+  test("scanWithSketch with an empty sketch yields an empty scan") {
+    val sk = CapturedSketch(fPopden, BitSketch.empty(2))
+    assert(citiesStore.scanWithSketch(spark, "cities", sk).count() == 0)
+  }
+
+  test("scanWithSketch with a full sketch preserves per-state counts") {
+    val sk = CapturedSketch(fPopden, BitSketch.full(2))
+    val got = citiesStore.scanWithSketch(spark, "cities", sk).groupBy("state").count()
+      .collect().map(r => (r.getString(0), r.getLong(1))).toMap
+    assert(got == Map("AK" -> 1L, "CA" -> 2L, "NY" -> 2L, "TX" -> 2L))
+  }
+
+  test("prunedScan pushes the decoded ranges into the Parquet scan") {
+    val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 16)
+    val sk = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
+    val (pruned, _) = keysStore.prunedScan(spark, sk)
+    val scans = pruned.queryExecution.executedPlan.collect { case s: FileSourceScanExec => s }
+    assert(scans.size == 1)
+    val pushed = scans.head.metadata("PushedFilters")
+    for (f <- Seq(s"LessThanOrEqual(k,${p.bounds(1)})", s"GreaterThan(k,${p.bounds(4)})",
+                  s"LessThanOrEqual(k,${p.bounds(5)})"))
+      assert(pushed.contains(f), s"$f not in $pushed")
+  }
+
+  test("scan cache keys on the partition, not only the fragment bits") {
+    val zms = ZoneMapStore.write(citiesDf, tmp(), "popden", 2)
+    val bits = BitSketch.fromFragments(2, Seq(1))
+    val above4000 = CapturedSketch(fPopden, bits)
+    val above6500 = CapturedSketch(RangePartition("cities", "popden", TLong, Vector(6500L)), bits)
+    assert(zms.prunedScan(spark, above4000)._1.count() == 4)
+    assert(zms.prunedScan(spark, above6500)._1.count() == 1) // popden 7000
+  }
+
+  test("sketch.filter: OR of ranges up to 512 ranges, membership UDF beyond") {
+    val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 2000)
+    val many = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until p.nFragments by 2))
+    val few = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
+    assert(p.mergedRanges(many.fragments).size > 512)
+    val stores = Seq[TableStore](new MemTableStore(Map("t" -> keys)),
+                                 new ZoneMapTableStore(Map("t" -> keysStore)),
+                                 new ZoneMapTableStore(Map.empty, extra = Map("t" -> keys)))
+    for (st <- stores; sk <- Seq(many, few)) {
+      val scanned = st.scanWithSketch(spark, "t", sk)
+      assert(sortedKeys(scanned) == sortedKeys(keys.filter(sk.toColumn)),
+        s"store=${st.getClass.getSimpleName}")
+      assert(hasUdf(scanned) == (sk eq many), s"store=${st.getClass.getSimpleName}")
     }
   }
 }
