@@ -36,7 +36,7 @@ object ToSpark {
     case PTrue           => lit(true)
   }
 
-  private def aggCol(a: Agg): Column = {
+  private[repro] def aggCol(a: Agg): Column = {
     val in = expr(a.input)
     val c = a.fn match {
       case FSum   => sum(in)

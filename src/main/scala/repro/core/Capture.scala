@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Encoders}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
-import org.apache.spark.sql.expressions.{Aggregator, UserDefinedFunction}
+import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.{functions => F}
 import org.apache.spark.sql.functions._
 import repro.algebra._
@@ -15,30 +15,16 @@ import repro.algebra._
   * BITOR aggregate at every γ/δ (r3), and folded into a single bitvector per
   * table by a final global BITOR (r7).
   *
-  * The Sec. 7.3 optimizations are reproduced as configuration:
-  *   - init: `CaseInit` chained CASE (O(|F|)/row) vs `BinSearchInit`
-  *     binary-search UDF (O(log|F|)/row);
-  *   - merge: `NaiveMerge` copies the bitset buffer on every row (Postgres'
-  *     stock bit_or), `NoCopyMerge` mutates word-wise, `DelayMerge`
-  *     propagates the fragment *index* until the first aggregate and only
-  *     then materializes bitsets;
-  *   - preciseMinMax: r3's min/max refinement — only extreme-achieving rows
-  *     contribute, via a join-back on the aggregate value.
+  * Capture has one path, built from the Sec. 7.3 optimizations: INIT is the
+  * binary-search lookup (`RangePartition.lookupColumn`); the annotation is a
+  * fragment index until the first aggregate, which turns it into a bitset
+  * (`FragToBitsetAgg`, the delay method), and later aggregates OR bitsets
+  * in place (`BitsetOrAgg` without copying). A single min/max aggregate
+  * uses r3's precise refinement: only extreme-achieving rows contribute.
+  * The baselines these optimizations beat (CASE-chain INIT, copying merge)
+  * are timed against the kernels in T6/T7 (`CaptureOptExperiments`).
   */
 object Capture {
-
-  sealed trait InitMethod
-  case object CaseInit extends InitMethod
-  case object BinSearchInit extends InitMethod
-
-  sealed trait MergeMethod
-  case object NaiveMerge extends MergeMethod
-  case object DelayMerge extends MergeMethod
-  case object NoCopyMerge extends MergeMethod
-
-  final case class Config(init: InitMethod = BinSearchInit,
-                          merge: MergeMethod = DelayMerge,
-                          preciseMinMax: Boolean = true)
 
   /** Whether a λ column currently holds a fragment index or a bitset. */
   private sealed trait LState
@@ -64,7 +50,8 @@ object Capture {
   }
 
   /** Bitset BITOR. `copy = true` reproduces the unoptimized Postgres
-    * behaviour (fresh bitset per input row); `false` is the No-copy method.
+    * behaviour (fresh bitset per input row); `false` is the No-copy method,
+    * the one capture runs. T7 times both.
     */
   final class BitsetOrAgg(nWords: Int, copy: Boolean) extends Aggregator[Array[Long], Array[Long], Array[Long]] {
     def zero: Array[Long] = new Array[Long](nWords)
@@ -81,20 +68,6 @@ object Capture {
     def outputEncoder: ExpressionEncoder[Array[Long]] = arrayEnc
   }
 
-  // --- INIT (r0 / Sec. 7.1) --------------------------------------------
-
-  /** Fragment index of the partition attribute, by CASE chain or UDF. */
-  def fragIndexColumn(p: RangePartition, init: InitMethod): Column = init match {
-    case CaseInit      => p.caseColumn(col(p.attr)).cast("int")
-    case BinSearchInit => p.lookupColumn(identity[Int])
-  }
-
-  /** Singleton bitset (SNG) for the fragment of the attribute value. */
-  private def sngColumn(p: RangePartition): Column = {
-    val nw = BitSketch.nWords(p.nFragments)
-    p.lookupColumn { i => val w = new Array[Long](nw); w(i >> 6) |= 1L << (i & 63); w }
-  }
-
   // --- capture ----------------------------------------------------------
 
   /** Instrument `q` and execute it, returning one sketch per partition.
@@ -102,14 +75,13 @@ object Capture {
     * the sketches to be usable; capture itself is partition-agnostic.
     */
   def capture(q: Op, partitions: Seq[RangePartition],
-              catalog: Map[String, DataFrame],
-              cfg: Config = Config()): Map[String, CapturedSketch] = {
+              catalog: Map[String, DataFrame]): Map[String, CapturedSketch] = {
     val parts = partitions.map(p => p.table -> p).toMap
     require(parts.size == partitions.size, "one partition per table")
-    val (df, states) = prop(q, parts, catalog, cfg)
+    val (df, states) = prop(q, parts, catalog)
     require(states.nonEmpty, "no sketched table is accessed by the query")
     // r7: final global BITOR over every annotation column.
-    val aggs = states.toSeq.map { case (t, st) => mergeAgg(parts(t), st, cfg)(col(lcol(t))).as(lcol(t)) }
+    val aggs = merges(states, parts)
     val row = df.agg(aggs.head, aggs.tail: _*).head()
     states.keys.map { t =>
       val words = row.getAs[scala.collection.Seq[Long]](lcol(t)).toArray
@@ -117,14 +89,24 @@ object Capture {
     }.toMap
   }
 
-  private def mergeAgg(p: RangePartition, st: LState, cfg: Config): UserDefinedFunction = st match {
-    case FragIdx => F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.scalaInt)
-    case Bitset  => F.udaf(new BitsetOrAgg(BitSketch.nWords(p.nFragments),
-                      copy = cfg.merge == NaiveMerge), arrayEnc)
-  }
+  /** One BITOR aggregate per annotation column: `FragToBitsetAgg` while the
+    * column still holds fragment indexes, the no-copy `BitsetOrAgg` after.
+    */
+  private def merges(st: Map[String, LState], parts: Map[String, RangePartition]): Seq[Column] =
+    st.toSeq.map { case (t, s) =>
+      val p = parts(t)
+      val agg = s match {
+        case FragIdx => F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.scalaInt)
+        case Bitset  => F.udaf(new BitsetOrAgg(BitSketch.nWords(p.nFragments), copy = false), arrayEnc)
+      }
+      agg(col(lcol(t))).as(lcol(t))
+    }
+
+  private def bitsets(st: Map[String, LState]): Map[String, LState] =
+    st.map { case (t, _) => t -> (Bitset: LState) }
 
   private def prop(op: Op, parts: Map[String, RangePartition],
-                   catalog: Map[String, DataFrame], cfg: Config): (DataFrame, Map[String, LState]) =
+                   catalog: Map[String, DataFrame]): (DataFrame, Map[String, LState]) =
     op match {
       case TableRef(name, schema) =>
         val base = catalog.getOrElse(name, sys.error(s"table $name not in catalog"))
@@ -133,73 +115,56 @@ object Capture {
           case None => (base, Map.empty)
           case Some(p) =>
             require(schema.exists(_._1 == p.attr), s"partition attr ${p.attr} not in $name")
-            cfg.merge match {
-              case DelayMerge =>
-                (base.withColumn(lcol(name), fragIndexColumn(p, cfg.init)), Map(name -> FragIdx))
-              case _ =>
-                (base.withColumn(lcol(name), sngColumn(p)), Map(name -> Bitset))
-            }
+            (base.withColumn(lcol(name), p.lookupColumn(identity[Int])), Map(name -> FragIdx))
         }
       case Select(pred, c) =>
-        val (df, st) = prop(c, parts, catalog, cfg)
+        val (df, st) = prop(c, parts, catalog)
         (df.filter(ToSpark.pred(pred)), st)
       case Project(items, c) =>
-        val (df, st) = prop(c, parts, catalog, cfg)
+        val (df, st) = prop(c, parts, catalog)
         val cols = items.map { case (e, a) => ToSpark.expr(e).as(a) } ++ st.keys.map(t => col(lcol(t)))
         (df.select(cols.toSeq: _*), st)
       case Aggregate(g, aggs, c) =>
-        val (df, st) = prop(c, parts, catalog, cfg)
+        val (df, st) = prop(c, parts, catalog)
         if (st.isEmpty) (ToSpark.compile(op, catalog), st)
-        else if (cfg.preciseMinMax && aggs.size == 1 &&
-                 (aggs.head.fn == FMin || aggs.head.fn == FMax))
-          minMaxPrecise(df, g, aggs.head, st, parts, cfg)
+        else if (aggs.size == 1 && (aggs.head.fn == FMin || aggs.head.fn == FMax))
+          minMaxPrecise(df, g, aggs.head, st, parts)
         else {
-          val cols = aggs.map(a => sparkAgg(a)) ++
-            st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }
-        val out =
-          if (g.isEmpty) df.agg(cols.head, cols.tail: _*)
-          else df.groupBy(g.map(col): _*).agg(cols.head, cols.tail: _*)
-          (out, st.map { case (t, _) => t -> (Bitset: LState) })
+          val cols = aggs.map(ToSpark.aggCol) ++ merges(st, parts)
+          val out =
+            if (g.isEmpty) df.agg(cols.head, cols.tail: _*)
+            else df.groupBy(g.map(col): _*).agg(cols.head, cols.tail: _*)
+          (out, bitsets(st))
         }
       case TopK(order, k, c) =>
-        val (df, st) = prop(c, parts, catalog, cfg)
+        val (df, st) = prop(c, parts, catalog)
         (df.orderBy(order.map { case (n, asc) => if (asc) col(n).asc else col(n).desc }: _*).limit(k), st)
       case Join(l, r, on) =>
-        val (lf, ls) = prop(l, parts, catalog, cfg)
-        val (rf, rs) = prop(r, parts, catalog, cfg)
+        val (lf, ls) = prop(l, parts, catalog)
+        val (rf, rs) = prop(r, parts, catalog)
         val cond = on.map { case (lc, rc) => lf(lc) === rf(rc) }.reduce(_ && _)
         (lf.join(rf, cond, "inner"), ls ++ rs)
       case UnionAll(l, r) =>
-        val (lf, ls) = prop(l, parts, catalog, cfg)
-        val (rf, rs) = prop(r, parts, catalog, cfg)
+        val (lf, ls) = prop(l, parts, catalog)
+        val (rf, rs) = prop(r, parts, catalog)
         require(ls.keySet == rs.keySet && ls == rs,
           "union branches must carry identical sketch annotations")
         (lf.unionByName(rf), ls)
       case Distinct(c) =>
         // δ: not in Fig. 6 but needed for completeness — group on all value
         // columns and BITOR the annotations of collapsed duplicates.
-        val (df, st) = prop(c, parts, catalog, cfg)
+        val (df, st) = prop(c, parts, catalog)
         if (st.isEmpty) (df.distinct(), st)
         else {
-          val valueCols = c.columns
-          val cols = st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }.toSeq
-          (df.groupBy(valueCols.map(col): _*).agg(cols.head, cols.tail: _*),
-           st.map { case (t, _) => t -> (Bitset: LState) })
+          val cols = merges(st, parts)
+          (df.groupBy(c.columns.map(col): _*).agg(cols.head, cols.tail: _*), bitsets(st))
         }
     }
 
-  private def sparkAgg(a: Agg): Column = {
-    val in = ToSpark.expr(a.input)
-    (a.fn match {
-      case FSum => sum(in); case FCount => count(in); case FMin => min(in)
-      case FMax => max(in); case FAvg => avg(in)
-    }).as(a.alias)
-  }
-
   /** r3 for min/max: only rows achieving the group extreme contribute. */
   private def minMaxPrecise(df: DataFrame, g: Seq[String], a: Agg,
-                            st: Map[String, LState], parts: Map[String, RangePartition],
-                            cfg: Config): (DataFrame, Map[String, LState]) = {
+                            st: Map[String, LState],
+                            parts: Map[String, RangePartition]): (DataFrame, Map[String, LState]) = {
     val in = ToSpark.expr(a.input)
     val aggDf = {
       val c = (if (a.fn == FMin) min(in) else max(in)).as(a.alias)
@@ -211,8 +176,8 @@ object Capture {
     val cond = (g.map(gc => aggDf(gc) === base(s"_ps_g_$gc")) :+ (base("_ps_val") === aggDf(a.alias)))
       .reduce(_ && _)
     val joined = aggDf.join(base, cond, "inner")
-    val merges = st.map { case (t, s) => mergeAgg(parts(t), s, cfg)(col(lcol(t))).as(lcol(t)) }.toSeq
-    val out = joined.groupBy((g :+ a.alias).map(col): _*).agg(merges.head, merges.tail: _*)
-    (out, st.map { case (t, _) => t -> (Bitset: LState) })
+    val ms = merges(st, parts)
+    val out = joined.groupBy((g :+ a.alias).map(col): _*).agg(ms.head, ms.tail: _*)
+    (out, bitsets(st))
   }
 }

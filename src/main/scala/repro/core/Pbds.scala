@@ -32,6 +32,11 @@ object Pbds {
   case object Fallback extends Action
 
   final case class Decision(action: Action, reusedFrom: Option[Map[String, Any]])
+
+  /** Both selectivity gates: above this share of the data (estimated before
+    * the run, or covered by a captured sketch) PBDS cannot skip enough.
+    */
+  val MaxSelectivity = 0.75
 }
 
 /** A named parameterized query (Sec. 6). */
@@ -43,9 +48,7 @@ final class PbdsManager(
     candidates: Map[String, Seq[RangePartition]],
     stats: SafetyChecker.Stats = SafetyChecker.Stats(),
     strategy: Pbds.Strategy = Pbds.Eager,
-    selectivityThreshold: Double = 0.75,
-    selectivityEstimate: (Template, Map[String, Any]) => Double = (_, _) => 0.0,
-    captureCfg: Capture.Config = Capture.Config()) {
+    selectivityEstimate: (Template, Map[String, Any]) => Double = (_, _) => 0.0) {
 
   import Pbds._
 
@@ -95,7 +98,7 @@ final class PbdsManager(
     def plain = ToSpark.compile(q, catalog)
 
     if (notWorth.contains(template.name) ||
-        selectivityEstimate(template, binding) > selectivityThreshold)
+        selectivityEstimate(template, binding) > MaxSelectivity)
       return (plain, Decision(NoPs, None))
 
     val perTable = candidates.filter { case (t, ps) =>
@@ -114,12 +117,11 @@ final class PbdsManager(
 
     hit match {
       case Some((oldB, sketches)) =>
-        if (!Use.revalidateTopK(q, sketches, catalog))
-          return (plain, Decision(Fallback, Some(oldB)))
         val sketchCatalog = catalog.map { case (t, df) =>
           t -> sketches.get(t).map(s => store.scanWithSketch(spark, t, s)).getOrElse(df)
         }
-        (ToSpark.compile(q, sketchCatalog), Decision(SketchUse, Some(oldB)))
+        if (!Use.revalidateTopK(q, sketchCatalog)) (plain, Decision(Fallback, Some(oldB)))
+        else (ToSpark.compile(q, sketchCatalog), Decision(SketchUse, Some(oldB)))
       case None =>
         val shouldCapture = strategy match {
           case Eager => true
@@ -129,10 +131,10 @@ final class PbdsManager(
             n >= threshold
         }
         if (shouldCapture) {
-          val sketches = Capture.capture(q, parts.values.toSeq, catalog, captureCfg)
+          val sketches = Capture.capture(q, parts.values.toSeq, catalog)
           // Post-capture gate: a sketch covering most fragments cannot skip
           // anything — blacklist the template rather than storing it.
-          if (sketches.values.forall(_.selectivity > selectivityThreshold)) {
+          if (sketches.values.forall(_.selectivity > MaxSelectivity)) {
             notWorth += template.name
             (plain, Decision(CaptureRun, None))
           } else {

@@ -35,9 +35,10 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
     i
   }
 
-  /** Chained CASE column assigning the fragment index (capture `CaseInit`).
-    * Built as one flat CaseWhen (n branches, still O(n) evaluation per row —
-    * the baseline the binary-search UDF beats) rather than nested
+  /** Chained CASE column assigning the fragment index: the Sec. 7.3 INIT
+    * baseline that T6 times against `lookupColumn`. Built as one flat
+    * CaseWhen (n branches, still O(n) evaluation per row — the baseline the
+    * binary-search UDF beats) rather than nested
     * when/otherwise, which overflows the stack at large n.
     */
   def caseColumn(c: Column): Column = {
@@ -49,8 +50,8 @@ final case class RangePartition(table: String, attr: String, attrType: SqlType,
   }
 
   /** UDF column mapping the attribute value `v` to `f(fragmentOf(v))`: the
-    * binary-search lookup behind capture INIT, capture SNG and membership
-    * decode. Long/Int/Double inputs are Scala primitives, so Spark yields
+    * binary-search lookup behind capture INIT, T7's singleton bitsets and
+    * membership decode. Long/Int/Double inputs are Scala primitives, so Spark yields
     * NULL for a NULL input without calling `f`.
     */
   def lookupColumn[R: TypeTag](f: Int => R): Column = {

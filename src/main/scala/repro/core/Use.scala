@@ -25,16 +25,13 @@ object Use {
   /** Runtime re-validation for τ_{O,C} (paper footnote 1): under the sketch,
     * every top-k input must still hold at least C tuples, otherwise the
     * sketch-restricted answer may be short and the caller must fall back.
+    * `sketchCatalog` maps each sketched table to its `scanWithSketch` scan.
     */
-  def revalidateTopK(q: Op, sketches: Map[String, CapturedSketch],
-                     catalog: Map[String, DataFrame]): Boolean = {
+  def revalidateTopK(q: Op, sketchCatalog: Map[String, DataFrame]): Boolean = {
     def topKs(op: Op): Seq[TopK] = (op match {
       case t: TopK => Seq(t)
       case _       => Seq.empty
     }) ++ op.children.flatMap(topKs)
-    topKs(q).forall { tk =>
-      val input = instrument(tk.child, sketches)
-      ToSpark.compile(input, catalog).limit(tk.k).count() >= tk.k
-    }
+    topKs(q).forall(tk => ToSpark.compile(tk.child, sketchCatalog).limit(tk.k).count() >= tk.k)
   }
 }

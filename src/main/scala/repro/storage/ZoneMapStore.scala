@@ -26,12 +26,23 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
   // reused) sketch should not pay file listing + plan construction again —
   // the DBMS analog keeps prepared plans. Keyed per session and sketch
   // (partition and bits: equal bits over other bounds select other rows).
-  private val scanCache =
-    scala.collection.concurrent.TrieMap.empty[(SparkSession, Option[CapturedSketch]), (DataFrame, Int)]
+  // Bounded: past `ScanCacheEntries` the oldest entry is evicted.
+  private type Key = (SparkSession, Option[CapturedSketch])
+  private val scanCache = new java.util.LinkedHashMap[Key, (DataFrame, Int)] {
+    override def removeEldestEntry(e: java.util.Map.Entry[Key, (DataFrame, Int)]): Boolean =
+      size > ZoneMapStore.ScanCacheEntries
+  }
+
+  private def cached(key: Key)(scan: => (DataFrame, Int)): (DataFrame, Int) =
+    scanCache.synchronized {
+      Option(scanCache.get(key)).getOrElse { val v = scan; scanCache.put(key, v); v }
+    }
+
+  private[storage] def cachedScans: Int = scanCache.synchronized(scanCache.size)
 
   /** Full scan — the No-PS baseline. */
   def scanAll(spark: SparkSession): DataFrame =
-    scanCache.getOrElseUpdate((spark, None), (spark.read.parquet(path), nFiles))._1
+    cached((spark, None))((spark.read.parquet(path), nFiles))._1
 
   private def overlaps(z: FileZone, lo: Option[Any], hi: Option[Any]): Boolean =
     lo.forall(l => compareAny(l, z.max) < 0) && hi.forall(h => compareAny(z.min, h) <= 0)
@@ -51,7 +62,7 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
   def prunedScan(spark: SparkSession, sketch: CapturedSketch): (DataFrame, Int) = {
     require(sketch.partition.attr == attr,
       s"sketch attr ${sketch.partition.attr} does not match zone attr $attr")
-    scanCache.getOrElseUpdate((spark, Some(sketch)), {
+    cached((spark, Some(sketch))) {
       val frags = sketch.fragments
       if (frags.isEmpty) (scanAll(spark).filter(lit(false)), 0)
       else if (sketch.bits.isFull) (scanAll(spark), nFiles)
@@ -61,11 +72,16 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
         if (files.isEmpty) (scanAll(spark).filter(lit(false)), 0)
         else (spark.read.parquet(files.map(_.path): _*).filter(sketch.filter), files.size)
       }
-    })
+    }
   }
 }
 
 object ZoneMapStore {
+
+  /** Scan-cache bound per store. A benchmark pass uses a fresh store and
+    * runs at most 48 instances, so it never evicts.
+    */
+  private[storage] val ScanCacheEntries = 64
 
   /** Range-cluster `df` on `attr` into ~`nFiles` sorted Parquet files.
     *

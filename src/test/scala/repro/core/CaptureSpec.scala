@@ -4,6 +4,7 @@ import repro.{Fixtures, SparkSpec}
 import repro.algebra._
 import Fixtures._
 import Capture._
+import org.apache.spark.sql.functions.count
 
 /** Sketch capture (Sec. 7) against the Lineage interpreter ground truth. */
 class CaptureSpec extends SparkSpec {
@@ -40,24 +41,21 @@ class CaptureSpec extends SparkSpec {
       assert(s.fragments.toSet == expectedFrags(q, p), s"partition=${p.attr}")
     }
   }
-  test("all init × merge configurations agree (Sec. 7.3 optimizations)") {
-    val configs = for {
-      init  <- Seq(CaseInit, BinSearchInit)
-      merge <- Seq(NaiveMerge, DelayMerge, NoCopyMerge)
-    } yield Config(init, merge)
-    val expected = capture(q2, Seq(fState), catalog).apply("cities").fragments
-    for (cfg <- configs) {
-      val s = capture(q2, Seq(fState), catalog, cfg)("cities")
-      assert(s.fragments == expected, s"cfg=$cfg")
+  test("T7 merge kernels and capture agree on a global count") {
+    val q = Aggregate(Seq.empty, Seq(Agg(FCount, Col("city"), "c")), cities)
+    val expected = capture(q, Seq(fState), catalog)("cities").bits
+    assert(expected.fragments == Seq(0, 2, 3)) // every row: CA/AK, NY, TX
+    for ((name, merge) <- repro.bench.CaptureOptExperiments.merges(fState)) {
+      val words = citiesDf.agg(count("city"), merge)
+        .head().getAs[scala.collection.Seq[Long]](1).toArray
+      assert(BitSketch.fromWords(fState.nFragments, words) == expected, s"merge=$name")
     }
   }
   test("global min/max with precise refinement keeps only extreme rows") {
     val q = Aggregate(Seq.empty, Seq(Agg(FMax, Col("popden"), "m")), cities)
-    val s = capture(q, Seq(fState), catalog, Config(preciseMinMax = true))("cities")
+    val s = capture(q, Seq(fState), catalog)("cities")
     assert(s.fragments == Seq(2)) // t4 New York (7000) is in f3
-    val loose = capture(q, Seq(fState), catalog, Config(preciseMinMax = false))("cities")
-    assert(loose.fragments == Seq(0, 2, 3)) // whole table
-    assert(s.bits.subsetOf(loose.bits))
+    assert(s.fragments.toSet == expectedFrags(q, fState))
   }
   test("grouped min with precise refinement") {
     val q = Aggregate(Seq("state"), Seq(Agg(FMin, Col("popden"), "m")), cities)
@@ -129,6 +127,12 @@ class UseSpec extends SparkSpec {
   private val fState  = RangePartition("cities", "state", TString, stateBounds.toIndexedSeq)
   private val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
 
+  /** The catalog `PbdsManager` runs a sketch hit over. */
+  private def sketchCatalog(sketches: Map[String, CapturedSketch]) = {
+    val store = new repro.storage.MemTableStore(catalog)
+    catalog ++ sketches.map { case (t, s) => t -> store.scanWithSketch(spark, t, s) }
+  }
+
   test("instrument wraps the table access in the decoded selection") {
     val s = CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0)))
     Use.instrument(q2, Map("cities" -> s)) match {
@@ -160,14 +164,14 @@ class UseSpec extends SparkSpec {
   }
   test("revalidateTopK accepts a sufficient sketch") {
     val sketches = Capture.capture(q2, Seq(fState), catalog)
-    assert(Use.revalidateTopK(q2, sketches, catalog))
+    assert(Use.revalidateTopK(q2, sketchCatalog(sketches)))
   }
   test("revalidateTopK flags an insufficient sketch") {
     // top-5 groups but the sketch covers only fragment f1 (2 groups: AK, CA)
     val q = TopK(Seq(("avgden", false)), 5,
       Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")), cities))
     val tiny = Map("cities" -> CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0))))
-    assert(!Use.revalidateTopK(q, tiny, catalog))
+    assert(!Use.revalidateTopK(q, sketchCatalog(tiny)))
   }
   test("sketch of all fragments decodes to PTrue (no-op filter)") {
     val s = CapturedSketch(fState, BitSketch.full(4))

@@ -77,6 +77,15 @@ class RangePartitionSparkSpec extends SparkSpec {
       assert(got == exp, s"frags=$frags")
     }
   }
+  test("caseColumn assigns the fragment fragmentOf assigns, on every cities row") {
+    val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
+    for (p <- Seq(RangePartition("cities", "state", TString, Fixtures.stateBounds.toIndexedSeq),
+                  RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq))) {
+      val got = df.select(p.caseColumn(df(p.attr))).collect().map(_.getInt(0)).toSeq
+      val i = Fixtures.citiesSchema.indexWhere(_._1 == p.attr)
+      assert(got == Fixtures.citiesRows.map(r => p.fragmentOf(r(i))), s"attr=${p.attr}")
+    }
+  }
   test("equiDepth produces roughly equal-depth numeric fragments") {
     val df = SynthData.uniformKeys(spark, 20000, 1000000, seed = 5)
     val p = RangePartition.equiDepth(df, "t", "k", TLong, 16)

@@ -132,6 +132,20 @@ class ZoneMapStoreSpec extends SparkSpec {
     assert(zms.prunedScan(spark, above6500)._1.count() == 1) // popden 7000
   }
 
+  test("scan cache stays bounded and every scan returns its own rows") {
+    val zms = ZoneMapStore.write(citiesDf, tmp(), "popden", 2)
+    val popdens = Fixtures.citiesRows.map(_.head.asInstanceOf[Long]).sorted
+    val thresholds = (0 to ZoneMapStore.ScanCacheEntries + 5).map(i => 1990L + 80L * i)
+    // the last scan repeats the first, whose entry has been evicted by then
+    for (b <- thresholds :+ thresholds.head) {
+      val above = CapturedSketch(RangePartition("cities", "popden", TLong, Vector(b)),
+        BitSketch.fromFragments(2, Seq(1)))
+      val got = zms.prunedScan(spark, above)._1.select("popden").collect().map(_.getLong(0)).sorted.toSeq
+      assert(got == popdens.filter(_ > b), s"popden > $b")
+      assert(zms.cachedScans <= ZoneMapStore.ScanCacheEntries)
+    }
+  }
+
   test("sketch.filter: OR of ranges up to 512 ranges, membership UDF beyond") {
     val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 2000)
     val many = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until p.nFragments by 2))
