@@ -150,27 +150,4 @@ object Algebra {
       case Distinct(c)        => Distinct(bind(c, binding))
     }
   }
-
-  /** Parameters referenced anywhere in the query. */
-  def params(op: Op): Set[String] = {
-    def pe(e: Expr): Set[String] = e match {
-      case Param(n)       => Set(n)
-      case Arith(_, l, r) => pe(l) ++ pe(r)
-      case _              => Set.empty
-    }
-    def pp(p: Pred): Set[String] = p match {
-      case Cmp(_, l, r) => pe(l) ++ pe(r)
-      case PAnd(l, r)   => pp(l) ++ pp(r)
-      case POr(l, r)    => pp(l) ++ pp(r)
-      case PNot(q)      => pp(q)
-      case PTrue        => Set.empty
-    }
-    val own = op match {
-      case Select(p, _)       => pp(p)
-      case Project(items, _)  => items.map(_._1).map(pe).foldLeft(Set.empty[String])(_ ++ _)
-      case Aggregate(_, a, _) => a.map(x => pe(x.input)).foldLeft(Set.empty[String])(_ ++ _)
-      case _                  => Set.empty[String]
-    }
-    own ++ op.children.flatMap(params)
-  }
 }

@@ -1,6 +1,9 @@
 package repro.bench
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.algebra.{Algebra, Op, ToSpark}
+import repro.core.{Capture, CapturedSketch, RangePartition}
+import repro.storage.TableStore
 
 /** Timing and table-printing helpers shared by the benchmark suites and the
   * spark-submit jobs. Every experiment prints `TABLE <id> | col | …` rows so
@@ -27,6 +30,36 @@ object BenchUtil {
     * unused aggregates and time a smaller plan.
     */
   def run(df: DataFrame): Unit = df.write.format("noop").mode("overwrite").save()
+
+  /** One PBDS option of the Sec. 9 cost split: the sketches captured at
+    * `nFrags` fragments, capture seconds (C_cap) and use seconds (C_use).
+    */
+  final case class Measured(nFrags: Int, sketches: Map[String, CapturedSketch],
+                            cap: Double, use: Double)
+
+  /** The measurement every per-query experiment makes over one store:
+    * times `q` without sketches (C_noPs), then for each fragment count
+    * builds equi-depth partitions on `sketchAttrs` (bounds drawn from
+    * `histograms`), times capture over the store's catalog and times `q`
+    * over `store.catalog(spark, sketches)`. Returns C_noPs and one
+    * `Measured` per fragment count.
+    */
+  def measure(spark: SparkSession, store: TableStore, q: Op, sketchAttrs: Map[String, String],
+              histograms: Map[String, DataFrame], fragCounts: Seq[Int],
+              reps: Int): (Double, Seq[Measured]) = {
+    val types = Algebra.baseTypes(q)
+    val catalog = store.catalog(spark)
+    val noPs = timed(reps = reps)(run(ToSpark.compile(q, catalog)))
+    val measured = fragCounts.map { nf =>
+      val parts = sketchAttrs.map { case (t, a) =>
+        RangePartition.equiDepth(histograms(t), t, a, types(a), nf)
+      }.toSeq
+      val (sketches, cap) = time(Capture.capture(q, parts, catalog))
+      val use = timed(reps = reps)(run(ToSpark.compile(q, store.catalog(spark, sketches))))
+      Measured(nf, sketches, cap, use)
+    }
+    (noPs, measured)
+  }
 
   def row(table: String, cols: Any*): Unit = {
     val cells = cols.map {

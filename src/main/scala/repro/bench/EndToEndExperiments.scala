@@ -4,10 +4,10 @@ import java.nio.file.Files
 
 import scala.util.Random
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
-import repro.storage.{ZoneMapStore, ZoneMapTableStore}
+import repro.storage.{TableStore, ZoneMapStore, ZoneMapTableStore}
 import repro.workloads.{Crimes, StackOverflowW}
 import BenchUtil._
 
@@ -25,32 +25,37 @@ object EndToEndExperiments {
   private def gridNormal(rnd: Random, mu: Double, sdv: Double, grid: Long, lo: Long): Long =
     math.max(lo, math.round((mu + rnd.nextGaussian() * sdv) / grid) * grid)
 
-  private def strategies(mk: (Pbds.Strategy, Double) => PbdsManager) = Seq(
-    "No-PS"    -> (() => mk(Pbds.Eager, -1.0)),        // estimate 1.0 > threshold → plain
-    "eager"    -> (() => mk(Pbds.Eager, 0.0)),
-    "adaptive" -> (() => mk(Pbds.Adaptive(3), 0.0)),
+  private val strategies = Seq(
+    "No-PS"    -> None,
+    "eager"    -> Some(Pbds.Eager),
+    "adaptive" -> Some(Pbds.Adaptive(3)),
   )
 
   /** Run one workload under all strategies; returns strategy → cumulative s.
-    * Prints a T11 row per checkpoint with the improvement over No-PS.
+    * No-PS compiles each instance over `store.catalog`; the others run it
+    * through a fresh manager. Prints a T11 row per checkpoint with the
+    * improvement over No-PS.
     */
-  def runWorkload(spark: SparkSession, label: String,
-                  mkManager: (Pbds.Strategy, Double) => PbdsManager,
+  def runWorkload(spark: SparkSession, label: String, store: TableStore,
+                  mkManager: Pbds.Strategy => PbdsManager,
                   instances: Seq[(Template, Map[String, Any])],
                   checkpoints: Seq[Int]): Map[String, Double] = {
     val cumAt = scala.collection.mutable.Map.empty[(String, Int), Double]
     val finals = scala.collection.mutable.Map.empty[String, Double]
-    for ((stratName, mk) <- strategies(mkManager)) {
-      val m = mk()
+    for ((stratName, strategy) <- strategies) {
+      val runOne: (Template, Map[String, Any]) => DataFrame = strategy match {
+        case None    => (t, b) => ToSpark.compile(Algebra.bind(t.op, b), store.catalog(spark))
+        case Some(s) => val m = mkManager(s); (t, b) => m.run(t, b)._1
+      }
       var cum = 0.0
       instances.zipWithIndex.foreach { case ((t, b), i) =>
-        val (_, sec) = time(BenchUtil.run(m.run(t, b)._1))
+        val (_, sec) = time(BenchUtil.run(runOne(t, b)))
         cum += sec
         if (checkpoints.contains(i + 1)) cumAt((stratName, i + 1)) = cum
       }
       finals(stratName) = cum
     }
-    for (cp <- checkpoints; (strat, _) <- strategies(mkManager)) {
+    for (cp <- checkpoints; (strat, _) <- strategies) {
       val base = cumAt(("No-PS", cp)); val c = cumAt((strat, cp))
       row("T11", label, strat, cp, c, (1 - c / base) * 100)
     }
@@ -80,9 +85,7 @@ object EndToEndExperiments {
       RangePartition.equiDepth(crimesScan, "crimes", "area", TLong, 77),
       RangePartition.equiDepth(crimesScan, "crimes", "block", TString, 512),
       RangePartition.equiDepth(crimesScan, "crimes", "ctype", TString, 5)))
-    def mkCrimes(s: Pbds.Strategy, est: Double) =
-      new PbdsManager(spark, crimesStore, crimesCands, strategy = s,
-        selectivityEstimate = (_, _) => if (est < 0) 1.0 else est)
+    def mkCrimes(s: Pbds.Strategy) = new PbdsManager(spark, crimesStore, crimesCands, strategy = s)
 
     def crimesInstances(rnd: Random, sdvFactor: Double, n: Int): Seq[(Template, Map[String, Any])] = {
       val ts = Seq(
@@ -104,7 +107,7 @@ object EndToEndExperiments {
         (t, b)
       }
     }
-    summary("crimes-mixed") = runWorkload(spark, "crimes-mixed", mkCrimes,
+    summary("crimes-mixed") = runWorkload(spark, "crimes-mixed", crimesStore, mkCrimes,
       crimesInstances(new Random(seed), 1.0, nQueries), checkpoints)
 
     // ---- Crimes selectivity sweep (Fig. 13b): threshold regimes ---------
@@ -115,13 +118,13 @@ object EndToEndExperiments {
         (Template("areaHaving", Crimes.tAreaHaving),
          Map[String, Any]("t" -> gridNormal(rnd, mu, mu * 0.1, 50, 1)))
       }
-      summary(s"crimes-$regime") = runWorkload(spark, s"crimes-$regime", mkCrimes, inst,
-        Seq(nQueries / 3))
+      summary(s"crimes-$regime") = runWorkload(spark, s"crimes-$regime", crimesStore, mkCrimes,
+        inst, Seq(nQueries / 3))
     }
 
     // ---- Crimes SDV sweep (Fig. 13c/d analog) ---------------------------
     for ((label, f) <- Seq(("sdv-small", 0.3), ("sdv-large", 3.0))) {
-      summary(s"crimes-$label") = runWorkload(spark, s"crimes-$label", mkCrimes,
+      summary(s"crimes-$label") = runWorkload(spark, s"crimes-$label", crimesStore, mkCrimes,
         crimesInstances(new Random(seed + 5), f, nQueries / 3), Seq(nQueries / 3))
     }
 
@@ -139,9 +142,7 @@ object EndToEndExperiments {
       "posts"    -> Seq(RangePartition.equiDepth(scan("posts"), "posts", "p_owner", TLong, 512)),
       "comments" -> Seq(RangePartition.equiDepth(scan("comments"), "comments", "cm_user", TLong, 512)),
       "badges"   -> Seq(RangePartition.equiDepth(scan("badges"), "badges", "b_user", TLong, 512)))
-    def mkSof(s: Pbds.Strategy, est: Double) =
-      new PbdsManager(spark, sofStore, sofCands, strategy = s,
-        selectivityEstimate = (_, _) => if (est < 0) 1.0 else est)
+    def mkSof(s: Pbds.Strategy) = new PbdsManager(spark, sofStore, sofCands, strategy = s)
 
     val postsMu    = 4850000L * sofSf / (1250000L * sofSf) * 30  // tail users
     val commentsMu = 7590000L * sofSf / (1250000L * sofSf) * 30
@@ -162,7 +163,8 @@ object EndToEndExperiments {
       }
       (t, b)
     }
-    summary("sof-mixed") = runWorkload(spark, "sof-mixed", mkSof, sofInstances, checkpoints)
+    summary("sof-mixed") =
+      runWorkload(spark, "sof-mixed", sofStore, mkSof, sofInstances, checkpoints)
     summary.toMap
   }
 }

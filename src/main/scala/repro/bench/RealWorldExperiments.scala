@@ -5,7 +5,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
-import repro.storage.ZoneMapStore
+import repro.storage.{ZoneMapStore, ZoneMapTableStore}
 import repro.workloads.{Crimes, Movies, StackOverflowW}
 import BenchUtil._
 
@@ -30,22 +30,12 @@ object RealWorldExperiments {
     for (c <- cases) yield {
       require(SafetyChecker.isSafe(c.q, c.sketchAttrs.values.toSet),
         s"${c.name}: sketch attrs must be safe")
-      val types = Algebra.baseTypes(c.q)
-      val diskCat = Algebra.tables(c.q).map { t =>
-        t.name -> storeFor(t.name, c.sketchAttrs.getOrElse(t.name, t.schema.head._1)).scanAll(spark)
-      }.toMap
-      val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(c.q, diskCat)))
-      val parts = c.sketchAttrs.map { case (t, a) =>
-        RangePartition.equiDepth(memCat(t), t, a, types(a), c.nFrags)
-      }.toSeq
-      val (sketches, capSec) = time(Capture.capture(c.q, parts, diskCat))
-      val useCat = diskCat.map { case (t, df) =>
-        t -> sketches.get(t).map(sk =>
-          storeFor(t, sk.partition.attr).prunedScan(spark, sk)._1).getOrElse(df)
-      }
-      val useSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(c.q, useCat)))
-      row(table, c.name, noPs, useSec, (1 - useSec / noPs) * 100, capSec, capSec / noPs - 1)
-      (c.name, noPs, useSec)
+      val store = new ZoneMapTableStore(Algebra.tables(c.q).map { t =>
+        t.name -> storeFor(t.name, c.sketchAttrs.getOrElse(t.name, t.schema.head._1))
+      }.toMap)
+      val (noPs, Seq(m)) = measure(spark, store, c.q, c.sketchAttrs, memCat, Seq(c.nFrags), reps)
+      row(table, c.name, noPs, m.use, (1 - m.use / noPs) * 100, m.cap, m.cap / noPs - 1)
+      (c.name, noPs, m.use)
     }
   }
 

@@ -5,7 +5,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import repro.algebra._
 import repro.core._
-import repro.storage.ZoneMapStore
+import repro.storage.{ZoneMapStore, ZoneMapTableStore}
 import repro.workloads.TpchLite
 import BenchUtil._
 
@@ -17,8 +17,6 @@ import BenchUtil._
   *   T8 — optimal #fragments per repetition count (Fig. 14)
   */
 object TpchExperiments {
-
-  final case class Measured(query: String, nFrags: Int, cap: Double, use: Double)
 
   def run(spark: SparkSession, sf: Double, fragCounts: Seq[Int],
           zoneFiles: Int = 48, reps: Int = 3): Map[String, (Double, Seq[Measured])] = {
@@ -49,41 +47,28 @@ object TpchExperiments {
     val results = scala.collection.mutable.Map.empty[String, (Double, Seq[Measured])]
 
     for (w <- TpchLite.queries) {
-      val types = Algebra.baseTypes(w.q)
-      // disk catalog: every accessed table scanned from its clustered copy
-      val diskCatalog: Map[String, DataFrame] = Algebra.tables(w.q).map { t =>
-        val name = t.name
-        if (name == "lineitem2")
-          name -> storeFor("lineitem", w.sketchAttrs.getOrElse("lineitem", "l_orderkey"))
-            .scanAll(spark).selectExpr("l_partkey as l2_partkey", "l_quantity as l2_quantity")
-        else
-          name -> storeFor(name, w.sketchAttrs.getOrElse(name, t.schema.head._1)).scanAll(spark)
+      // disk store: every accessed table scanned from its clustered copy
+      val (aliased, direct) = Algebra.tables(w.q).partition(_.name == "lineitem2")
+      val zoned = direct.map { t =>
+        t.name -> storeFor(t.name, w.sketchAttrs.getOrElse(t.name, t.schema.head._1))
       }.toMap
-
-      val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, diskCatalog)))
-      row("T2", w.name, "No-PS", noPs, 1.0)
+      val lineitem2 = aliased.map { t =>
+        t.name -> storeFor("lineitem", w.sketchAttrs.getOrElse("lineitem", "l_orderkey"))
+          .scanAll(spark).selectExpr("l_partkey as l2_partkey", "l_quantity as l2_quantity")
+      }.toMap
+      val store = new ZoneMapTableStore(zoned, lineitem2)
 
       val safe = SafetyChecker.isSafe(w.q, w.sketchAttrs.values.toSet, TpchLite.stats(sf))
       require(safe, s"${w.name}: declared sketch attrs must be safe")
 
-      val measured = fragCounts.map { nf =>
-        val parts = w.sketchAttrs.map { case (t, a) =>
-          RangePartition.equiDepth(mem(t), t, a, types(a), nf)
-        }.toSeq
-        val (sketches, capSec) = time(Capture.capture(w.q, parts, diskCatalog))
-        sketches.foreach { case (t, sk) =>
-          row("T1", w.name, t, sk.partition.attr, nf, sk.selectivity)
+      val (noPs, measured) = measure(spark, store, w.q, w.sketchAttrs, mem, fragCounts, reps)
+      row("T2", w.name, "No-PS", noPs, 1.0)
+      for (m <- measured) {
+        m.sketches.foreach { case (t, sk) =>
+          row("T1", w.name, t, sk.partition.attr, m.nFrags, sk.selectivity)
         }
-        row("T3", w.name, nf, capSec, noPs, (capSec / noPs - 1) * 100)
-
-        // sketch use: prune files via zone maps, residual filter inside
-        val useCatalog = diskCatalog.map { case (t, df) =>
-          t -> sketches.get(t).map(sk =>
-            storeFor(t, sk.partition.attr).prunedScan(spark, sk)._1).getOrElse(df)
-        }
-        val useSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, useCatalog)))
-        row("T2", w.name, s"PS$nf", useSec, noPs / useSec)
-        Measured(w.name, nf, capSec, useSec)
+        row("T3", w.name, m.nFrags, m.cap, noPs, (m.cap / noPs - 1) * 100)
+        row("T2", w.name, s"PS${m.nFrags}", m.use, noPs / m.use)
       }
 
       val opts = measured.map(m => (s"PS${m.nFrags}", m.cap, m.use))

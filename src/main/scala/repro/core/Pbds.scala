@@ -33,8 +33,8 @@ object Pbds {
 
   final case class Decision(action: Action, reusedFrom: Option[Map[String, Any]])
 
-  /** Both selectivity gates: above this share of the data (estimated before
-    * the run, or covered by a captured sketch) PBDS cannot skip enough.
+  /** Selectivity gate: above this share of the fragments covered by a
+    * captured sketch, PBDS cannot skip enough.
     */
   val MaxSelectivity = 0.75
 }
@@ -47,13 +47,14 @@ final class PbdsManager(
     store: TableStore,
     candidates: Map[String, Seq[RangePartition]],
     stats: SafetyChecker.Stats = SafetyChecker.Stats(),
-    strategy: Pbds.Strategy = Pbds.Eager,
-    selectivityEstimate: (Template, Map[String, Any]) => Double = (_, _) => 0.0) {
+    strategy: Pbds.Strategy = Pbds.Eager) {
 
   import Pbds._
 
   // Per template (Lemma 4): the chosen safe partition set, or None if no
-  // candidate combination passes the safety check.
+  // candidate combination passes the safety check. The check runs on the
+  // template with its parameters symbolic, so the verdict holds for every
+  // binding.
   private val safetyCache = mutable.Map.empty[String, Option[Map[String, RangePartition]]]
   private val sketchStore =
     mutable.Map.empty[String, List[(Map[String, Any], Map[String, CapturedSketch])]]
@@ -93,20 +94,18 @@ final class PbdsManager(
 
   def run(template: Template, binding: Map[String, Any]): (DataFrame, Decision) = {
     val q = Algebra.bind(template.op, binding)
-    val catalog = store.catalog(spark)
+    lazy val catalog = store.catalog(spark)
 
     def plain = ToSpark.compile(q, catalog)
 
-    if (notWorth.contains(template.name) ||
-        selectivityEstimate(template, binding) > MaxSelectivity)
-      return (plain, Decision(NoPs, None))
+    if (notWorth.contains(template.name)) return (plain, Decision(NoPs, None))
 
     val perTable = candidates.filter { case (t, ps) =>
       ps.nonEmpty && Algebra.tables(q).exists(_.name == t)
     }
     if (perTable.isEmpty) return (plain, Decision(NoPs, None))
 
-    val chosen = safetyCache.getOrElseUpdate(template.name, chooseSafe(q, perTable))
+    val chosen = safetyCache.getOrElseUpdate(template.name, chooseSafe(template.op, perTable))
     if (chosen.isEmpty) return (plain, Decision(NoPs, None))
     val parts = chosen.get
 
@@ -117,9 +116,7 @@ final class PbdsManager(
 
     hit match {
       case Some((oldB, sketches)) =>
-        val sketchCatalog = catalog.map { case (t, df) =>
-          t -> sketches.get(t).map(s => store.scanWithSketch(spark, t, s)).getOrElse(df)
-        }
+        val sketchCatalog = store.catalog(spark, sketches)
         if (!Use.revalidateTopK(q, sketchCatalog)) (plain, Decision(Fallback, Some(oldB)))
         else (ToSpark.compile(q, sketchCatalog), Decision(SketchUse, Some(oldB)))
       case None =>

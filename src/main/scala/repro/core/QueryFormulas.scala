@@ -18,9 +18,11 @@ case object RUnknown extends Rel
   *
   * Encoding: attribute `a` of the left side (Q over D_PS, or the
   * sketch-holder instance Q) is variable `a`; the right side (Q over D, or
-  * the new instance Q') is `a'`. String and date constants are mapped
-  * order-preservingly to rationals, which keeps every `valid = true` answer
-  * sound (any countable total order embeds in ℚ).
+  * the new instance Q') is `a'`. A template parameter `$n` is one unprimed
+  * variable shared by both sides: a formula valid over it holds for every
+  * binding, so a template can be checked once. String and date constants
+  * are mapped order-preservingly to rationals, which keeps every
+  * `valid = true` answer sound (any countable total order embeds in ℚ).
   *
   * Non-linear atoms (e.g. products of two columns) cannot be decided by the
   * solver; they are dropped when in antecedent position (weakens the
@@ -45,7 +47,7 @@ final class QueryFormulas(strIndex: Map[String, Long],
   def exprLin(e: Expr, primed: Boolean): Option[Lin] = e match {
     case Col(n)   => Some(Lin.v(vn(n, primed)))
     case Lit(v)   => valToRat(v).map(Lin.c)
-    case Param(n) => sys.error(s"unbound parameter $$$n — bind before checking")
+    case Param(n) => Some(Lin.v("$" + n))
     case Arith(op, l, r) =>
       (exprLin(l, primed), exprLin(r, primed)) match {
         case (Some(a), Some(b)) => op match {

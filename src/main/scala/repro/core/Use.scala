@@ -7,7 +7,7 @@ import repro.algebra._
   *
   * `Q[P]` is the identity on every operator except table accesses, which are
   * wrapped in a selection decoding the sketch (Eq. 2). On Spark, sketch use
-  * goes through `TableStore.scanWithSketch`, which applies
+  * goes through `TableStore.catalog(spark, sketches)`, whose sketch scans apply
   * `CapturedSketch.filter` (the Sec. 8.1 OR-of-ranges vs binary-search
   * choice) after any file pruning the store can do.
   */
@@ -25,7 +25,7 @@ object Use {
   /** Runtime re-validation for τ_{O,C} (paper footnote 1): under the sketch,
     * every top-k input must still hold at least C tuples, otherwise the
     * sketch-restricted answer may be short and the caller must fall back.
-    * `sketchCatalog` maps each sketched table to its `scanWithSketch` scan.
+    * `sketchCatalog` is the store's catalog under the sketches.
     */
   def revalidateTopK(q: Op, sketchCatalog: Map[String, DataFrame]): Boolean = {
     def topKs(op: Op): Seq[TopK] = (op match {

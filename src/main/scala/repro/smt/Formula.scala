@@ -89,8 +89,6 @@ case object FFalse extends Formula
 
 object Formula {
   def all(fs: Seq[Formula]): Formula = if (fs.isEmpty) FTrue else FAnd(fs)
-  def any(fs: Seq[Formula]): Formula = if (fs.isEmpty) FFalse else FOr(fs)
-  def cmp(op: CmpOp, l: Lin, r: Lin): Formula = Atom(op, l, r)
   def eqv(a: String, b: String): Formula = Atom(Eq, Lin.v(a), Lin.v(b))
   def leq(a: String, b: String): Formula = Atom(Le, Lin.v(a), Lin.v(b))
   def geq(a: String, b: String): Formula = Atom(Ge, Lin.v(a), Lin.v(b))

@@ -28,12 +28,12 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
   // (partition and bits: equal bits over other bounds select other rows).
   // Bounded: past `ScanCacheEntries` the oldest entry is evicted.
   private type Key = (SparkSession, Option[CapturedSketch])
-  private val scanCache = new java.util.LinkedHashMap[Key, (DataFrame, Int)] {
-    override def removeEldestEntry(e: java.util.Map.Entry[Key, (DataFrame, Int)]): Boolean =
+  private val scanCache = new java.util.LinkedHashMap[Key, DataFrame] {
+    override def removeEldestEntry(e: java.util.Map.Entry[Key, DataFrame]): Boolean =
       size > ZoneMapStore.ScanCacheEntries
   }
 
-  private def cached(key: Key)(scan: => (DataFrame, Int)): (DataFrame, Int) =
+  private def cached(key: Key)(scan: => DataFrame): DataFrame =
     scanCache.synchronized {
       Option(scanCache.get(key)).getOrElse { val v = scan; scanCache.put(key, v); v }
     }
@@ -42,7 +42,7 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
 
   /** Full scan — the No-PS baseline. */
   def scanAll(spark: SparkSession): DataFrame =
-    cached((spark, None))((spark.read.parquet(path), nFiles))._1
+    cached((spark, None))(spark.read.parquet(path))
 
   private def overlaps(z: FileZone, lo: Option[Any], hi: Option[Any]): Boolean =
     lo.forall(l => compareAny(l, z.max) < 0) && hi.forall(h => compareAny(z.min, h) <= 0)
@@ -51,26 +51,23 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
   def matchingFiles(ranges: Seq[(Option[Any], Option[Any])]): Seq[FileZone] =
     zones.filter(z => ranges.exists { case (lo, hi) => overlaps(z, lo, hi) })
 
-  /** Sketch-driven scan: read only overlapping files, then apply the sketch
-    * predicate as a residual filter (zones are file-granular). Returns the
-    * DataFrame and the number of files read (the skipping measure).
+  /** Sketch-driven scan: read only the `matchingFiles` of the sketch's
+    * merged ranges, then apply the sketch predicate as a residual filter
+    * (zones are file-granular).
     *
     * The residual is `CapturedSketch.filter`: when it is the OR of merged
     * ranges, Parquet pushes it down for row-group skipping inside the
     * surviving files.
     */
-  def prunedScan(spark: SparkSession, sketch: CapturedSketch): (DataFrame, Int) = {
+  def prunedScan(spark: SparkSession, sketch: CapturedSketch): DataFrame = {
     require(sketch.partition.attr == attr,
       s"sketch attr ${sketch.partition.attr} does not match zone attr $attr")
     cached((spark, Some(sketch))) {
-      val frags = sketch.fragments
-      if (frags.isEmpty) (scanAll(spark).filter(lit(false)), 0)
-      else if (sketch.bits.isFull) (scanAll(spark), nFiles)
+      if (sketch.bits.isFull) scanAll(spark)
       else {
-        val ranges = sketch.partition.mergedRanges(frags)
-        val files = matchingFiles(ranges)
-        if (files.isEmpty) (scanAll(spark).filter(lit(false)), 0)
-        else (spark.read.parquet(files.map(_.path): _*).filter(sketch.filter), files.size)
+        val files = matchingFiles(sketch.partition.mergedRanges(sketch.fragments))
+        if (files.isEmpty) scanAll(spark).filter(lit(false))
+        else spark.read.parquet(files.map(_.path): _*).filter(sketch.filter)
       }
     }
   }

@@ -27,12 +27,10 @@ class AlgebraSpec extends org.scalatest.funsuite.AnyFunSuite {
     walk(rewritten)
     assert(found)
   }
-  test("bind substitutes parameters, params lists them") {
+  test("bind substitutes parameters") {
     val t = Select(Col("popden") > Param("p1"), cities)
-    assert(Algebra.params(t) == Set("p1"))
     val q = Algebra.bind(t, Map("p1" -> 3000L))
     assert(q == Select(Col("popden") > Lit(3000L), cities))
-    assert(Algebra.params(q).isEmpty)
   }
   test("bind fails on missing binding; compile fails on unbound param") {
     val t = Select(Col("popden") > Param("p1"), cities)

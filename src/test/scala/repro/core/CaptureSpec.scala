@@ -128,10 +128,8 @@ class UseSpec extends SparkSpec {
   private val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
 
   /** The catalog `PbdsManager` runs a sketch hit over. */
-  private def sketchCatalog(sketches: Map[String, CapturedSketch]) = {
-    val store = new repro.storage.MemTableStore(catalog)
-    catalog ++ sketches.map { case (t, s) => t -> store.scanWithSketch(spark, t, s) }
-  }
+  private def sketchCatalog(sketches: Map[String, CapturedSketch]) =
+    new repro.storage.ZoneMapTableStore(Map.empty, catalog).catalog(spark, sketches)
 
   test("instrument wraps the table access in the decoded selection") {
     val s = CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0)))

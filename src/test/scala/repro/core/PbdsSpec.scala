@@ -6,10 +6,10 @@ import repro.algebra._
 /** Self-tuning manager behaviour (Sec. 9.5 strategies). */
 class PbdsSpec extends SparkSpec {
   import Fixtures._
-  import repro.storage.MemTableStore
+  import repro.storage.ZoneMapTableStore
 
   private lazy val citiesDf = sparkDf(spark, citiesSchema, citiesRows)
-  private lazy val store = new MemTableStore(Map("cities" -> citiesDf))
+  private lazy val store = new ZoneMapTableStore(Map.empty, Map("cities" -> citiesDf))
   private val fState = RangePartition("cities", "state", TString, stateBounds.toIndexedSeq)
   private val stats = SafetyChecker.Stats(Map("popden" -> (2000L, 7000L)))
 
@@ -18,10 +18,8 @@ class PbdsSpec extends SparkSpec {
     Aggregate(Seq("state"), Seq(Agg(FCount, Col("city"), "cnt")),
       Select(Col("popden") >= Param("p1"), cities))))
 
-  private def manager(strategy: Pbds.Strategy = Pbds.Eager,
-                      selEst: Double = 0.0) =
-    new PbdsManager(spark, store, Map("cities" -> Seq(fState)), stats, strategy,
-      selectivityEstimate = (_, _) => selEst)
+  private def manager(strategy: Pbds.Strategy = Pbds.Eager) =
+    new PbdsManager(spark, store, Map("cities" -> Seq(fState)), stats, strategy)
 
   private def resultSet(df: org.apache.spark.sql.DataFrame): Set[String] =
     df.collect().map(_.toSeq.mkString("|")).toSet
@@ -77,11 +75,35 @@ class PbdsSpec extends SparkSpec {
       assert(m.run(t, Map("p" -> 0L))._2.action == Pbds.NoPs)
   }
 
-  test("selectivity gate skips PBDS for non-selective queries") {
-    val m = manager(selEst = 0.9)
-    val b = Map[String, Any]("p1" -> 2000L, "p2" -> 1L)
-    assert(m.run(tmpl, b)._2.action == Pbds.NoPs)
+  test("a sketch covering every fragment is dropped and the template runs plain") {
+    val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
+    val m = new PbdsManager(spark, store, Map("cities" -> Seq(fPopden)), stats)
+    val b = Map[String, Any]("p1" -> 2000L, "p2" -> 0L) // every city is in the provenance
+    assert(m.run(tmpl, b)._2.action == Pbds.CaptureRun)
     assert(m.sketchesFor("ex7").isEmpty)
+    assert(m.run(tmpl, b)._2.action == Pbds.NoPs)
+  }
+
+  test("safety is decided for the template, not for its first binding") {
+    // σ_{x<$p ∨ c<5}(γ_{x; count(y)→c}(t)) with x ∈ [0, 100] and a sketch on
+    // y: safe at p=200 (x < p always holds), unsafe at p=50. A sketch
+    // captured at p=50 keeps only y ≤ 10, where group 60 counts 1 < 5 and
+    // would wrongly appear.
+    val schema = Seq("x" -> TLong, "y" -> TLong)
+    val df = sparkDf(spark, schema, Seq(1L, 2L).map(Seq(10L, _)) ++
+      Seq(3L, 20L, 21L, 22L, 23L, 24L).map(Seq(60L, _)))
+    val t = TableRef("t", schema)
+    val tmplP = Template("probe", Select(Col("x") < Param("p") || Col("c") < Lit(5L),
+      Aggregate(Seq("x"), Seq(Agg(FCount, Col("y"), "c")), t)))
+    val m = new PbdsManager(spark, new ZoneMapTableStore(Map.empty, Map("t" -> df)),
+      Map("t" -> Seq(RangePartition("t", "y", TLong, Vector(10L, 30L, 50L, 70L)))),
+      SafetyChecker.Stats(Map("x" -> (0L, 100L))))
+    for (p <- Seq(200L, 50L, 50L)) {
+      val b = Map[String, Any]("p" -> p)
+      val (got, d) = m.run(tmplP, b)
+      assert(d.action == Pbds.NoPs, s"p=$p")
+      assert(resultSet(got) == resultSet(ToSpark.compile(Algebra.bind(tmplP.op, b), Map("t" -> df))))
+    }
   }
 
   test("top-k re-validation falls back when the sketch is too small") {

@@ -24,6 +24,10 @@ class ZoneMapStoreSpec extends SparkSpec {
   private def sortedKeys(df: DataFrame): Seq[Long] =
     df.select("k").collect().map(_.getLong(0)).sorted.toSeq
 
+  /** Files a sketch scan of `s` opens: those overlapping the merged ranges. */
+  private def filesRead(s: ZoneMapStore, sk: CapturedSketch): Int =
+    s.matchingFiles(sk.partition.mergedRanges(sk.fragments)).size
+
   private def hasUdf(df: DataFrame): Boolean =
     df.queryExecution.optimizedPlan.exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF])))
 
@@ -44,19 +48,17 @@ class ZoneMapStoreSpec extends SparkSpec {
     val s = ZoneMapStore.write(df, tmp(), "popden", 3)
     val p = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
     val sk = CapturedSketch(p, BitSketch.fromFragments(2, Seq(1))) // g2 = (4000, ∞)
-    val (pruned, filesRead) = s.prunedScan(spark, sk)
-    assert(pruned.count() == 4) // popden 4200, 6000, 5000, 7000
-    assert(filesRead <= s.nFiles)
+    assert(s.prunedScan(spark, sk).count() == 4) // popden 4200, 6000, 5000, 7000
   }
 
   test("empty sketch reads no files; full sketch reads all") {
     val df = Fixtures.sparkDf(spark, Fixtures.citiesSchema, Fixtures.citiesRows)
     val s = ZoneMapStore.write(df, tmp(), "popden", 2)
     val p = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
-    val (e, ef) = s.prunedScan(spark, CapturedSketch(p, BitSketch.empty(2)))
-    assert(e.count() == 0 && ef == 0)
-    val (f, ff) = s.prunedScan(spark, CapturedSketch(p, BitSketch.full(2)))
-    assert(f.count() == 7 && ff == s.nFiles)
+    val e = CapturedSketch(p, BitSketch.empty(2))
+    assert(s.prunedScan(spark, e).count() == 0 && filesRead(s, e) == 0)
+    val f = CapturedSketch(p, BitSketch.full(2))
+    assert(s.prunedScan(spark, f).count() == 7 && filesRead(s, f) == s.nFiles)
   }
 
   test("file pruning actually skips files on a clustered table") {
@@ -65,10 +67,10 @@ class ZoneMapStoreSpec extends SparkSpec {
     val s = ZoneMapStore.write(df, dir, "k", 8)
     val p = RangePartition.equiDepth(s.scanAll(spark), "t", "k", TLong, 16)
     val sk = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1)))
-    val (pruned, filesRead) = s.prunedScan(spark, sk)
-    assert(filesRead < s.nFiles, s"expected pruning: read $filesRead of ${s.nFiles}")
+    val read = filesRead(s, sk)
+    assert(read < s.nFiles, s"expected pruning: read $read of ${s.nFiles}")
     val expected = s.scanAll(spark).filter(sk.toColumn).count()
-    assert(pruned.count() == expected)
+    assert(s.prunedScan(spark, sk).count() == expected)
   }
 
   test("mismatched sketch attribute is rejected") {
@@ -84,13 +86,13 @@ class ZoneMapStoreSpec extends SparkSpec {
     val zms = ZoneMapStore.write(df, tmp(), "popden", 3)
     val p = RangePartition("cities", "popden", TLong, Fixtures.popdenBounds.toIndexedSeq)
     val sk = CapturedSketch(p, BitSketch.fromFragments(2, Seq(1)))
-    val mem  = new MemTableStore(Map("cities" -> df))
+    val mem  = new ZoneMapTableStore(Map.empty, Map("cities" -> df))
     val disk = new ZoneMapTableStore(Map("cities" -> zms))
     val expected = df.filter(sk.toColumn).collect().map(_.getLong(0)).sorted.toSeq
-    for (st <- Seq[TableStore](mem, disk)) {
-      val got = st.scanWithSketch(spark, "cities", sk)
+    for ((name, st) <- Seq("mem" -> mem, "disk" -> disk)) {
+      val got = st.catalog(spark, Map("cities" -> sk))("cities")
         .select("popden").collect().map(_.getLong(0)).sorted.toSeq
-      assert(got == expected, s"store=${st.getClass.getSimpleName}")
+      assert(got == expected, s"store=$name")
     }
   }
 
@@ -114,8 +116,8 @@ class ZoneMapStoreSpec extends SparkSpec {
   test("prunedScan pushes the decoded ranges into the Parquet scan") {
     val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 16)
     val sk = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
-    val (pruned, _) = keysStore.prunedScan(spark, sk)
-    val scans = pruned.queryExecution.executedPlan.collect { case s: FileSourceScanExec => s }
+    val scans = keysStore.prunedScan(spark, sk).queryExecution.executedPlan
+      .collect { case s: FileSourceScanExec => s }
     assert(scans.size == 1)
     val pushed = scans.head.metadata("PushedFilters")
     for (f <- Seq(s"LessThanOrEqual(k,${p.bounds(1)})", s"GreaterThan(k,${p.bounds(4)})",
@@ -128,8 +130,8 @@ class ZoneMapStoreSpec extends SparkSpec {
     val bits = BitSketch.fromFragments(2, Seq(1))
     val above4000 = CapturedSketch(fPopden, bits)
     val above6500 = CapturedSketch(RangePartition("cities", "popden", TLong, Vector(6500L)), bits)
-    assert(zms.prunedScan(spark, above4000)._1.count() == 4)
-    assert(zms.prunedScan(spark, above6500)._1.count() == 1) // popden 7000
+    assert(zms.prunedScan(spark, above4000).count() == 4)
+    assert(zms.prunedScan(spark, above6500).count() == 1) // popden 7000
   }
 
   test("scan cache stays bounded and every scan returns its own rows") {
@@ -140,7 +142,7 @@ class ZoneMapStoreSpec extends SparkSpec {
     for (b <- thresholds :+ thresholds.head) {
       val above = CapturedSketch(RangePartition("cities", "popden", TLong, Vector(b)),
         BitSketch.fromFragments(2, Seq(1)))
-      val got = zms.prunedScan(spark, above)._1.select("popden").collect().map(_.getLong(0)).sorted.toSeq
+      val got = zms.prunedScan(spark, above).select("popden").collect().map(_.getLong(0)).sorted.toSeq
       assert(got == popdens.filter(_ > b), s"popden > $b")
       assert(zms.cachedScans <= ZoneMapStore.ScanCacheEntries)
     }
@@ -151,14 +153,12 @@ class ZoneMapStoreSpec extends SparkSpec {
     val many = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until p.nFragments by 2))
     val few = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
     assert(p.mergedRanges(many.fragments).size > 512)
-    val stores = Seq[TableStore](new MemTableStore(Map("t" -> keys)),
-                                 new ZoneMapTableStore(Map("t" -> keysStore)),
-                                 new ZoneMapTableStore(Map.empty, extra = Map("t" -> keys)))
-    for (st <- stores; sk <- Seq(many, few)) {
+    val stores = Seq("zoned" -> new ZoneMapTableStore(Map("t" -> keysStore)),
+                     "mem" -> new ZoneMapTableStore(Map.empty, extra = Map("t" -> keys)))
+    for ((name, st) <- stores; sk <- Seq(many, few)) {
       val scanned = st.scanWithSketch(spark, "t", sk)
-      assert(sortedKeys(scanned) == sortedKeys(keys.filter(sk.toColumn)),
-        s"store=${st.getClass.getSimpleName}")
-      assert(hasUdf(scanned) == (sk eq many), s"store=${st.getClass.getSimpleName}")
+      assert(sortedKeys(scanned) == sortedKeys(keys.filter(sk.toColumn)), s"store=$name")
+      assert(hasUdf(scanned) == (sk eq many), s"store=$name")
     }
   }
 }
