@@ -31,7 +31,7 @@ object CaptureOptExperiments {
     def bitor(copy: Boolean) =
       udaf(new Capture.BitsetOrAgg(nw, copy), ExpressionEncoder[Array[Long]]())(sng)
     Map("naive" -> bitor(copy = true), "noCopy" -> bitor(copy = false),
-      "delay" -> udaf(new Capture.FragToBitsetAgg(p.nFragments), Encoders.scalaInt)(
+      "delay" -> udaf(new Capture.FragToBitsetAgg(p.nFragments), Encoders.INT)(
         p.lookupColumn(identity[Int])))
   }
 

@@ -1,19 +1,21 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Encoders}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.{functions => F}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.algebra._
 
 /** Provenance-sketch capture by query instrumentation (paper Sec. 7, Fig. 6).
   *
   * The input query is compiled bottom-up like `ToSpark`, but every sketched
   * base table gains an annotation column `_ps_<table>` (rule r0/INIT) that is
-  * propagated through σ/Π/τ/⋈/∪ unchanged (r1, r2, r4–r6), merged with a
-  * BITOR aggregate at every γ/δ (r3), and folded into a single bitvector per
-  * table by a final global BITOR (r7).
+  * propagated through σ/Π/τ/⋈/∪ unchanged (r1, r2, r4–r6) and merged with a
+  * BITOR aggregate at every γ/δ (r3). The instrumented plan runs once: its
+  * rows are the query's answer, and the final global BITOR (r7) is an OR on
+  * the driver over their annotation columns.
   *
   * Capture has one path, built from the Sec. 7.3 optimizations: INIT is the
   * binary-search lookup (`RangePartition.lookupColumn`); the annotation is a
@@ -37,10 +39,17 @@ object Capture {
 
   private def arrayEnc: ExpressionEncoder[Array[Long]] = ExpressionEncoder[Array[Long]]()
 
-  /** Delay-method merge: fragment indexes in, bitset out; mutates buffer. */
-  final class FragToBitsetAgg(nFragments: Int) extends Aggregator[Int, Array[Long], Array[Long]] {
+  /** Delay-method merge: fragment indexes in, bitset out; mutates buffer.
+    * Both merges skip a NULL annotation: it comes from a NULL sketch
+    * attribute or from the row r3's join-back keeps for a min/max over no
+    * rows, and adds no fragment.
+    */
+  final class FragToBitsetAgg(nFragments: Int) extends Aggregator[Integer, Array[Long], Array[Long]] {
     def zero: Array[Long] = new Array[Long](BitSketch.nWords(nFragments))
-    def reduce(b: Array[Long], i: Int): Array[Long] = { b(i >> 6) |= 1L << (i & 63); b }
+    def reduce(b: Array[Long], i: Integer): Array[Long] = {
+      if (i != null) b(i >> 6) |= 1L << (i & 63)
+      b
+    }
     def merge(a: Array[Long], b: Array[Long]): Array[Long] = {
       var i = 0; while (i < a.length) { a(i) |= b(i); i += 1 }; a
     }
@@ -56,6 +65,7 @@ object Capture {
   final class BitsetOrAgg(nWords: Int, copy: Boolean) extends Aggregator[Array[Long], Array[Long], Array[Long]] {
     def zero: Array[Long] = new Array[Long](nWords)
     def reduce(b: Array[Long], in: Array[Long]): Array[Long] = {
+      if (in == null) return b
       val tgt = if (copy) b.clone() else b
       var i = 0; while (i < nWords) { tgt(i) |= in(i); i += 1 }; tgt
     }
@@ -70,24 +80,48 @@ object Capture {
 
   // --- capture ----------------------------------------------------------
 
-  /** Instrument `q` and execute it, returning one sketch per partition.
-    * Partitions must be safe for `q` (check with `SafetyChecker` first) for
-    * the sketches to be usable; capture itself is partition-agnostic.
+  /** Instrument `q` and execute it once, returning its answer and one sketch
+    * per partition. The answer is a local DataFrame over the rows already
+    * collected, so using it runs no further Spark job. Partitions must be
+    * safe for `q` (check with `SafetyChecker` first) for the sketches to be
+    * usable; capture itself is partition-agnostic.
     */
-  def capture(q: Op, partitions: Seq[RangePartition],
-              catalog: Map[String, DataFrame]): Map[String, CapturedSketch] = {
+  def run(q: Op, partitions: Seq[RangePartition],
+          catalog: Map[String, DataFrame]): (DataFrame, Map[String, CapturedSketch]) = {
     val parts = partitions.map(p => p.table -> p).toMap
     require(parts.size == partitions.size, "one partition per table")
     val (df, states) = prop(q, parts, catalog)
     require(states.nonEmpty, "no sketched table is accessed by the query")
-    // r7: final global BITOR over every annotation column.
-    val aggs = merges(states, parts)
-    val row = df.agg(aggs.head, aggs.tail: _*).head()
-    states.keys.map { t =>
-      val words = row.getAs[scala.collection.Seq[Long]](lcol(t)).toArray
-      t -> CapturedSketch(parts(t), BitSketch.fromWords(parts(t).nFragments, words))
+    val fields = df.schema.fields
+    // Per sketched table: its state, its column and the bitset r7 ORs into.
+    val ann = states.toSeq.map { case (t, s) =>
+      (t, s, fields.indexWhere(_.name == lcol(t)), new Array[Long](BitSketch.nWords(parts(t).nFragments)))
+    }
+    val answerIdx = fields.indices.filterNot(i => ann.exists(_._3 == i))
+    val rows = df.collect()
+    val answer = new java.util.ArrayList[Row](rows.length)
+    for (r <- rows) {
+      // r7: OR each row's annotations into one bitset per table. A NULL
+      // annotation (a NULL sketch attribute) adds nothing, as in the merges.
+      for ((_, s, i, w) <- ann if !r.isNullAt(i)) {
+        s match {
+          case FragIdx => val f = r.getInt(i); w(f >> 6) |= 1L << (f & 63)
+          case Bitset  =>
+            val b = r.getSeq[Long](i)
+            var j = 0; while (j < w.length) { w(j) |= b(j); j += 1 }
+        }
+      }
+      answer.add(Row.fromSeq(answerIdx.map(r.get)))
+    }
+    val sketches = ann.map { case (t, _, _, w) =>
+      t -> CapturedSketch(parts(t), BitSketch.fromWords(parts(t).nFragments, w))
     }.toMap
+    (df.sparkSession.createDataFrame(answer, StructType(answerIdx.map(fields))), sketches)
   }
+
+  /** The sketches of `run`, without its answer. */
+  def capture(q: Op, partitions: Seq[RangePartition],
+              catalog: Map[String, DataFrame]): Map[String, CapturedSketch] = run(q, partitions, catalog)._2
 
   /** One BITOR aggregate per annotation column: `FragToBitsetAgg` while the
     * column still holds fragment indexes, the no-copy `BitsetOrAgg` after.
@@ -96,7 +130,7 @@ object Capture {
     st.toSeq.map { case (t, s) =>
       val p = parts(t)
       val agg = s match {
-        case FragIdx => F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.scalaInt)
+        case FragIdx => F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.INT)
         case Bitset  => F.udaf(new BitsetOrAgg(BitSketch.nWords(p.nFragments), copy = false), arrayEnc)
       }
       agg(col(lcol(t))).as(lcol(t))
@@ -161,7 +195,11 @@ object Capture {
         }
     }
 
-  /** r3 for min/max: only rows achieving the group extreme contribute. */
+  /** r3 for min/max: only rows achieving the group extreme contribute. The
+    * join back matches NULL group keys and NULL extremes (a group whose
+    * inputs are all NULL) null-safely, and keeps every group of `aggDf`:
+    * a global min/max over no rows is one NULL row with no provenance.
+    */
   private def minMaxPrecise(df: DataFrame, g: Seq[String], a: Agg,
                             st: Map[String, LState],
                             parts: Map[String, RangePartition]): (DataFrame, Map[String, LState]) = {
@@ -173,9 +211,9 @@ object Capture {
     // Rename the base side to dodge ambiguity, precompute the agg input.
     var base = df.withColumn("_ps_val", in)
     for (gc <- g) base = base.withColumnRenamed(gc, s"_ps_g_$gc")
-    val cond = (g.map(gc => aggDf(gc) === base(s"_ps_g_$gc")) :+ (base("_ps_val") === aggDf(a.alias)))
+    val cond = (g.map(gc => aggDf(gc) <=> base(s"_ps_g_$gc")) :+ (base("_ps_val") <=> aggDf(a.alias)))
       .reduce(_ && _)
-    val joined = aggDf.join(base, cond, "inner")
+    val joined = aggDf.join(base, cond, "left_outer")
     val ms = merges(st, parts)
     val out = joined.groupBy((g :+ a.alias).map(col): _*).agg(ms.head, ms.tail: _*)
     (out, bitsets(st))

@@ -24,7 +24,9 @@ object Pbds {
   sealed trait Action
   /** Plain execution — non-selective, unsafe, or adaptive still waiting. */
   case object NoPs extends Action
-  /** Plain execution plus sketch capture (pays the capture overhead). */
+  /** One instrumented execution that returns the answer and captures a
+    * sketch (pays the capture overhead).
+    */
   case object CaptureRun extends Action
   /** Executed with a sketch-restricted scan. */
   case object SketchUse extends Action
@@ -92,6 +94,12 @@ final class PbdsManager(
       .find(m => SafetyChecker.isSafe(q, m.values.map(_.attr).toSet, stats))
   }
 
+  /** Decide how to run `template` at `binding` and return its answer with
+    * the decision. On `CaptureRun` the DataFrame is a local relation over
+    * the rows the instrumented query already computed, so the capture is the
+    * only execution (C_cap, not C_cap + C_noPS); otherwise it is the plan
+    * still to execute.
+    */
   def run(template: Template, binding: Map[String, Any]): (DataFrame, Decision) = {
     val q = Algebra.bind(template.op, binding)
     lazy val catalog = store.catalog(spark)
@@ -128,17 +136,15 @@ final class PbdsManager(
             n >= threshold
         }
         if (shouldCapture) {
-          val sketches = Capture.capture(q, parts.values.toSeq, catalog)
+          val (answer, sketches) = Capture.run(q, parts.values.toSeq, catalog)
           // Post-capture gate: a sketch covering most fragments cannot skip
           // anything — blacklist the template rather than storing it.
-          if (sketches.values.forall(_.selectivity > MaxSelectivity)) {
-            notWorth += template.name
-            (plain, Decision(CaptureRun, None))
-          } else {
+          if (sketches.values.forall(_.selectivity > MaxSelectivity)) notWorth += template.name
+          else {
             sketchStore(template.name) = (binding -> sketches) :: stored
             missedUses(template.name) = 0
-            (plain, Decision(CaptureRun, None))
           }
+          (answer, Decision(CaptureRun, None))
         } else (plain, Decision(NoPs, None))
     }
   }

@@ -4,7 +4,9 @@ import repro.{Fixtures, SparkSpec}
 import repro.algebra._
 import Fixtures._
 import Capture._
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.count
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 /** Sketch capture (Sec. 7) against the Lineage interpreter ground truth. */
 class CaptureSpec extends SparkSpec {
@@ -16,6 +18,18 @@ class CaptureSpec extends SparkSpec {
   private val fState  = RangePartition("cities", "state", TString, stateBounds.toIndexedSeq)
   private val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
 
+  private def multiset(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
+
+  /** Capture `q` over `cat`, checking that the answer the instrumented
+    * execution returns equals plain execution as a multiset of rows.
+    */
+  private def sketchesOf(q: Op, parts: Seq[RangePartition],
+                         cat: Map[String, DataFrame] = catalog): Map[String, CapturedSketch] = {
+    val (answer, sketches) = Capture.run(q, parts, cat)
+    assert(multiset(answer) == multiset(ToSpark.compile(q, cat)), s"answer of $q")
+    sketches
+  }
+
   private def expectedFrags(q: Op, p: RangePartition): Set[Int] = {
     val prov = Lineage.provenance(q, db).filter(_._1 == p.table).map(_._2)
     val rows = db(p.table)
@@ -23,27 +37,27 @@ class CaptureSpec extends SparkSpec {
   }
 
   test("Ex. 3: sketch of Q2 on F_state is {f1}") {
-    val s = capture(q2, Seq(fState), catalog)("cities")
+    val s = sketchesOf(q2, Seq(fState))("cities")
     assert(s.fragments == Seq(0))
   }
   test("sketch of Q2 on F_popden is {g2}") {
-    val s = capture(q2, Seq(fPopden), catalog)("cities")
+    val s = sketchesOf(q2, Seq(fPopden))("cities")
     assert(s.fragments == Seq(1))
   }
   test("sketch of Q1 (selection only) on F_state is {f1}") {
-    val s = capture(q1, Seq(fState), catalog)("cities")
+    val s = sketchesOf(q1, Seq(fState))("cities")
     assert(s.fragments == Seq(0))
   }
   test("sketch of the having query matches lineage on both partitions") {
     val q = qPopState(10000L, ">")
     for (p <- Seq(fState, fPopden)) {
-      val s = capture(q, Seq(p), catalog)(p.table)
+      val s = sketchesOf(q, Seq(p))(p.table)
       assert(s.fragments.toSet == expectedFrags(q, p), s"partition=${p.attr}")
     }
   }
   test("T7 merge kernels and capture agree on a global count") {
     val q = Aggregate(Seq.empty, Seq(Agg(FCount, Col("city"), "c")), cities)
-    val expected = capture(q, Seq(fState), catalog)("cities").bits
+    val expected = sketchesOf(q, Seq(fState))("cities").bits
     assert(expected.fragments == Seq(0, 2, 3)) // every row: CA/AK, NY, TX
     for ((name, merge) <- repro.bench.CaptureOptExperiments.merges(fState)) {
       val words = citiesDf.agg(count("city"), merge)
@@ -53,20 +67,20 @@ class CaptureSpec extends SparkSpec {
   }
   test("global min/max with precise refinement keeps only extreme rows") {
     val q = Aggregate(Seq.empty, Seq(Agg(FMax, Col("popden"), "m")), cities)
-    val s = capture(q, Seq(fState), catalog)("cities")
+    val s = sketchesOf(q, Seq(fState))("cities")
     assert(s.fragments == Seq(2)) // t4 New York (7000) is in f3
     assert(s.fragments.toSet == expectedFrags(q, fState))
   }
   test("grouped min with precise refinement") {
     val q = Aggregate(Seq("state"), Seq(Agg(FMin, Col("popden"), "m")), cities)
-    val s = capture(q, Seq(fPopden), catalog)("cities")
+    val s = sketchesOf(q, Seq(fPopden))("cities")
     assert(s.fragments.toSet == expectedFrags(q, fPopden))
   }
   test("top-k keeps only contributing groups (Q2 variants)") {
     // top-1 by avgden asc → TX group (3100): popden 3700,2500 → g1 only
     val q = TopK(Seq(("avgden", true)), 1,
       Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")), cities))
-    val s = capture(q, Seq(fPopden), catalog)("cities")
+    val s = sketchesOf(q, Seq(fPopden))("cities")
     assert(s.fragments.toSet == expectedFrags(q, fPopden))
   }
   test("join propagates annotations from both tables") {
@@ -78,7 +92,7 @@ class CaptureSpec extends SparkSpec {
       Select(Col("pop2") >= Lit(2L), Join(cities, info, Seq(("state", "st2")))))
     val cat2 = catalog + ("info" -> infoDf)
     val db2 = db + ("info" -> lineageTable(info.schema, infoRows))
-    val sketches = capture(q, Seq(fState, fInfo), cat2)
+    val sketches = sketchesOf(q, Seq(fState, fInfo), cat2)
     val provC = Lineage.provenance(q, db2).filter(_._1 == "cities").map(_._2)
       .map(i => fState.fragmentOf(db2("cities")(i.toInt)("state")))
     val provI = Lineage.provenance(q, db2).filter(_._1 == "info").map(_._2)
@@ -88,7 +102,7 @@ class CaptureSpec extends SparkSpec {
   }
   test("distinct merges duplicate annotations") {
     val q = Distinct(Project(Seq((Col("state"), "state")), cities))
-    val s = capture(q, Seq(fPopden), catalog)("cities")
+    val s = sketchesOf(q, Seq(fPopden))("cities")
     assert(s.fragments.toSet == expectedFrags(q, fPopden))
   }
   test("union all requires matching annotations and unions them") {
@@ -97,12 +111,12 @@ class CaptureSpec extends SparkSpec {
                Select(Col("state") === Lit("TX"), cities)))
     // cities accessed twice — the paper's single-access assumption; our
     // implementation still produces a covering sketch for the union.
-    val s = capture(q, Seq(fState), catalog)("cities")
+    val s = sketchesOf(q, Seq(fState))("cities")
     assert(s.fragments == Seq(0, 3))
   }
   test("empty query result yields the empty sketch") {
     val q = Select(Col("state") === Lit("ZZ"), cities)
-    val s = capture(q, Seq(fState), catalog)("cities")
+    val s = sketchesOf(q, Seq(fState))("cities")
     assert(s.bits.isEmpty)
   }
   test("capture without any matching partition is rejected") {
@@ -112,8 +126,46 @@ class CaptureSpec extends SparkSpec {
     val q = Aggregate(Seq.empty, Seq(Agg(FSum, Col("x"), "sx")),
       Select(Col("x") > Lit(5000L),
         Project(Seq(((Col("popden") + Lit(100L)), "x"), (Col("state"), "state")), cities)))
-    val s = capture(q, Seq(fPopden), catalog)("cities")
+    val s = sketchesOf(q, Seq(fPopden))("cities")
     assert(s.fragments.toSet == expectedFrags(q, fPopden))
+  }
+
+  // r3's min/max join-back over NULLs in non-sketch attributes: `g` and `v`
+  // are nullable, the sketch attribute `k` is not. Fragments of k under
+  // bounds (2, 4, 6): k=1 → 0, k=3 → 1, k=5,6 → 2, k=7,8 → 3.
+  private lazy val nullsCatalog = {
+    val rows = Seq[Seq[Any]](Seq(1L, "a", 10L), Seq(3L, "a", 20L), Seq(5L, null, 5L),
+      Seq(6L, null, 9L), Seq(7L, "b", null), Seq(8L, "b", null))
+    val st = StructType(Seq(StructField("k", LongType, nullable = false),
+      StructField("g", StringType), StructField("v", LongType)))
+    Map("n" -> spark.createDataFrame(java.util.Arrays.asList(rows.map(Row.fromSeq): _*), st))
+  }
+  private val nulls = TableRef("n", Seq("k" -> TLong, "g" -> TString, "v" -> TLong))
+  private val fK = RangePartition("n", "k", TLong, Vector(2L, 4L, 6L))
+
+  /** The captured answer (checked against plain execution) and sketch. */
+  private def captureNulls(q: Op): (Seq[String], CapturedSketch) = {
+    val s = sketchesOf(q, Seq(fK), nullsCatalog)("n")
+    (multiset(ToSpark.compile(q, nullsCatalog)), s)
+  }
+
+  test("precise max keeps the group whose key is NULL") {
+    val (rows, s) = captureNulls(
+      Aggregate(Seq("g"), Seq(Agg(FMax, Col("v"), "m")), Select(Col("k") <= Lit(6L), nulls)))
+    assert(rows == Seq("[a,20]", "[null,9]"))
+    assert(s.fragments == Seq(1, 2)) // a: max at k=3; NULL group: max at k=6
+  }
+  test("precise min keeps a group whose inputs are all NULL") {
+    val (rows, s) = captureNulls(
+      Aggregate(Seq("g"), Seq(Agg(FMin, Col("v"), "m")), Select(Col("k") > Lit(6L), nulls)))
+    assert(rows == Seq("[b,null]"))
+    assert(s.fragments == Seq(3)) // every row of the group attains the NULL extreme
+  }
+  test("precise global min over no rows returns its NULL row and the empty sketch") {
+    val (rows, s) = captureNulls(
+      Aggregate(Seq.empty, Seq(Agg(FMin, Col("v"), "m")), Select(Col("k") > Lit(100L), nulls)))
+    assert(rows == Seq("[null]"))
+    assert(s.bits.isEmpty)
   }
 }
 

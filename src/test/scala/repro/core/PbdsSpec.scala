@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{Fixtures, SparkSpec}
 import repro.algebra._
 
@@ -43,6 +46,40 @@ class PbdsSpec extends SparkSpec {
     assert(resultSet(df3) == resultSet(direct))
   }
 
+  /** Result of `f` and the number of Spark jobs started while it ran. A
+    * marker job started afterwards drains the listener bus, which delivers
+    * events in order.
+    */
+  private def jobsDuring[T](f: => T): (T, Int) = {
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      val r = f
+      sc.setJobDescription("marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30000000000L
+      while (!started.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(started.contains("marker"), "listener never saw the marker job")
+      (r, started.asScala.takeWhile(_ != "marker").size)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("a capturing run returns the answer its one execution computed") {
+    val m = manager()
+    val b = Map[String, Any]("p1" -> 2000L, "p2" -> 1L)
+    val ((df, d), runJobs) = jobsDuring(m.run(tmpl, b))
+    assert(d.action == Pbds.CaptureRun && runJobs > 0)
+    assert(m.sketchesFor("ex7") == Seq(b)) // stored before anything is collected
+    val (rows, collectJobs) = jobsDuring(resultSet(df))
+    assert(collectJobs == 0)
+    assert(rows == resultSet(ToSpark.compile(Algebra.bind(tmpl.op, b), Map("cities" -> citiesDf))))
+  }
+
   test("eager: incompatible binding triggers a second capture") {
     val m = manager()
     val tight = Map[String, Any]("p1" -> 4000L, "p2" -> 1L)
@@ -79,8 +116,10 @@ class PbdsSpec extends SparkSpec {
     val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
     val m = new PbdsManager(spark, store, Map("cities" -> Seq(fPopden)), stats)
     val b = Map[String, Any]("p1" -> 2000L, "p2" -> 0L) // every city is in the provenance
-    assert(m.run(tmpl, b)._2.action == Pbds.CaptureRun)
+    val (df, d) = m.run(tmpl, b)
+    assert(d.action == Pbds.CaptureRun)
     assert(m.sketchesFor("ex7").isEmpty)
+    assert(resultSet(df) == resultSet(ToSpark.compile(Algebra.bind(tmpl.op, b), Map("cities" -> citiesDf))))
     assert(m.run(tmpl, b)._2.action == Pbds.NoPs)
   }
 
