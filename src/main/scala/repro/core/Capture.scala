@@ -80,14 +80,18 @@ object Capture {
 
   // --- capture ----------------------------------------------------------
 
+  /** One instrumented execution: the answer as a local DataFrame, its row
+    * count, and one sketch per sketched table.
+    */
+  final case class Captured(answer: DataFrame, rows: Int, sketches: Map[String, CapturedSketch])
+
   /** Instrument `q` and execute it once, returning its answer and one sketch
     * per partition. The answer is a local DataFrame over the rows already
     * collected, so using it runs no further Spark job. Partitions must be
     * safe for `q` (check with `SafetyChecker` first) for the sketches to be
     * usable; capture itself is partition-agnostic.
     */
-  def run(q: Op, partitions: Seq[RangePartition],
-          catalog: Map[String, DataFrame]): (DataFrame, Map[String, CapturedSketch]) = {
+  def run(q: Op, partitions: Seq[RangePartition], catalog: Map[String, DataFrame]): Captured = {
     val parts = partitions.map(p => p.table -> p).toMap
     require(parts.size == partitions.size, "one partition per table")
     val (df, states) = prop(q, parts, catalog)
@@ -116,12 +120,14 @@ object Capture {
     val sketches = ann.map { case (t, _, _, w) =>
       t -> CapturedSketch(parts(t), BitSketch.fromWords(parts(t).nFragments, w))
     }.toMap
-    (df.sparkSession.createDataFrame(answer, StructType(answerIdx.map(fields))), sketches)
+    val schema = StructType(answerIdx.map(fields))
+    Captured(df.sparkSession.createDataFrame(answer, schema), rows.length, sketches)
   }
 
   /** The sketches of `run`, without its answer. */
   def capture(q: Op, partitions: Seq[RangePartition],
-              catalog: Map[String, DataFrame]): Map[String, CapturedSketch] = run(q, partitions, catalog)._2
+              catalog: Map[String, DataFrame]): Map[String, CapturedSketch] =
+    run(q, partitions, catalog).sketches
 
   /** One BITOR aggregate per annotation column: `FragToBitsetAgg` while the
     * column still holds fragment indexes, the no-copy `BitsetOrAgg` after.

@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.algebra._
@@ -30,7 +31,9 @@ object Pbds {
   case object CaptureRun extends Action
   /** Executed with a sketch-restricted scan. */
   case object SketchUse extends Action
-  /** Sketch failed top-k runtime re-validation; fell back to plain. */
+  /** A top-k hit whose pruned answer came out short (paper footnote 1):
+    * the sketch cannot be trusted, and the answer is plain execution.
+    */
   case object Fallback extends Action
 
   final case class Decision(action: Action, reusedFrom: Option[Map[String, Any]])
@@ -39,6 +42,15 @@ object Pbds {
     * captured sketch, PBDS cannot skip enough.
     */
   val MaxSelectivity = 0.75
+
+  /** Captures kept per template; past it the oldest is evicted. */
+  private[core] val SketchesPerTemplate = 32
+
+  /** A stored capture: its binding, its sketches and the row count of its
+    * answer (the top-k check of an exact-binding hit needs it).
+    */
+  private[core] final case class Stored(binding: Map[String, Any],
+                                        sketches: Map[String, CapturedSketch], rows: Int)
 }
 
 /** A named parameterized query (Sec. 6). */
@@ -58,16 +70,18 @@ final class PbdsManager(
   // template with its parameters symbolic, so the verdict holds for every
   // binding.
   private val safetyCache = mutable.Map.empty[String, Option[Map[String, RangePartition]]]
-  private val sketchStore =
-    mutable.Map.empty[String, List[(Map[String, Any], Map[String, CapturedSketch])]]
+  private val sketchStore = mutable.Map.empty[String, List[Stored]]
   private val missedUses = mutable.Map.empty[String, Int]
   // Templates whose captured sketches turned out non-selective: PBDS cannot
   // help them, stop paying capture cost (the paper's selectivity gate).
   private val notWorth = mutable.Set.empty[String]
 
-  /** Sketches captured so far for a template (newest first). */
-  def sketchesFor(template: String): Seq[Map[String, Any]] =
-    sketchStore.getOrElse(template, Nil).map(_._1)
+  /** Bindings of the sketches stored for a template (newest first). */
+  def sketchesFor(template: String): Seq[Map[String, Any]] = storedFor(template).map(_.binding)
+
+  private[core] def storedFor(template: String): List[Stored] = sketchStore.getOrElse(template, Nil)
+
+  private def hasTopK(op: Op): Boolean = op.isInstanceOf[TopK] || op.children.exists(hasTopK)
 
   /** First safe combination of per-table candidates, preferring sketches on
     * every accessed table, then single-table sketches. Candidates whose
@@ -97,8 +111,9 @@ final class PbdsManager(
   /** Decide how to run `template` at `binding` and return its answer with
     * the decision. On `CaptureRun` the DataFrame is a local relation over
     * the rows the instrumented query already computed, so the capture is the
-    * only execution (C_cap, not C_cap + C_noPS); otherwise it is the plan
-    * still to execute.
+    * only execution (C_cap, not C_cap + C_noPS). A `SketchUse` of a top-k
+    * template is likewise the local relation of its one pruned execution.
+    * Otherwise it is the plan still to execute.
     */
   def run(template: Template, binding: Map[String, Any]): (DataFrame, Decision) = {
     val q = Algebra.bind(template.op, binding)
@@ -107,6 +122,9 @@ final class PbdsManager(
     def plain = ToSpark.compile(q, catalog)
 
     if (notWorth.contains(template.name)) return (plain, Decision(NoPs, None))
+    // Below the root, a τ's input is not seen in the answer, so the top-k
+    // check after the run cannot be made: such templates run plain.
+    if (q.children.exists(hasTopK)) return (plain, Decision(NoPs, None))
 
     val perTable = candidates.filter { case (t, ps) =>
       ps.nonEmpty && Algebra.tables(q).exists(_.name == t)
@@ -118,15 +136,26 @@ final class PbdsManager(
     val parts = chosen.get
 
     // Reuse lookup: exact binding, else the Sec. 6 sufficient condition.
-    val stored = sketchStore.getOrElse(template.name, Nil)
-    val hit = stored.find(_._1 == binding).orElse(
-      stored.find { case (oldB, _) => ReuseChecker.canReuse(template.op, oldB, binding, stats) })
+    val stored = storedFor(template.name)
+    val hit = stored.find(_.binding == binding).orElse(
+      stored.find(s => ReuseChecker.canReuse(template.op, s.binding, binding, stats)))
 
     hit match {
-      case Some((oldB, sketches)) =>
-        val sketchCatalog = store.catalog(spark, sketches)
-        if (!Use.revalidateTopK(q, sketchCatalog)) (plain, Decision(Fallback, Some(oldB)))
-        else (ToSpark.compile(q, sketchCatalog), Decision(SketchUse, Some(oldB)))
+      case Some(s) =>
+        val pruned = ToSpark.compile(q, store.catalog(spark, s.sketches))
+        val used = Decision(SketchUse, Some(s.binding))
+        q match {
+          // Top-k runtime check (paper footnote 1), made after the one
+          // pruned execution: τ's input under the sketch held enough rows
+          // iff the answer has `need` of them. An exact-binding hit needs
+          // only as many as its capture returned; a reuse hit needs k.
+          case TopK(_, k, _) =>
+            val rows = pruned.collect()
+            val need = if (s.binding == binding) math.min(k, s.rows) else k
+            if (rows.length < need) (plain, Decision(Fallback, Some(s.binding)))
+            else (spark.createDataFrame(rows.toSeq.asJava, pruned.schema), used)
+          case _ => (pruned, used)
+        }
       case None =>
         val shouldCapture = strategy match {
           case Eager => true
@@ -136,15 +165,16 @@ final class PbdsManager(
             n >= threshold
         }
         if (shouldCapture) {
-          val (answer, sketches) = Capture.run(q, parts.values.toSeq, catalog)
+          val c = Capture.run(q, parts.values.toSeq, catalog)
           // Post-capture gate: a sketch covering most fragments cannot skip
           // anything — blacklist the template rather than storing it.
-          if (sketches.values.forall(_.selectivity > MaxSelectivity)) notWorth += template.name
+          if (c.sketches.values.forall(_.selectivity > MaxSelectivity)) notWorth += template.name
           else {
-            sketchStore(template.name) = (binding -> sketches) :: stored
+            sketchStore(template.name) =
+              (Stored(binding, c.sketches, c.rows) :: stored).take(SketchesPerTemplate)
             missedUses(template.name) = 0
           }
-          (answer, Decision(CaptureRun, None))
+          (c.answer, Decision(CaptureRun, None))
         } else (plain, Decision(NoPs, None))
     }
   }

@@ -25,9 +25,10 @@ class CaptureSpec extends SparkSpec {
     */
   private def sketchesOf(q: Op, parts: Seq[RangePartition],
                          cat: Map[String, DataFrame] = catalog): Map[String, CapturedSketch] = {
-    val (answer, sketches) = Capture.run(q, parts, cat)
-    assert(multiset(answer) == multiset(ToSpark.compile(q, cat)), s"answer of $q")
-    sketches
+    val c = Capture.run(q, parts, cat)
+    assert(multiset(c.answer) == multiset(ToSpark.compile(q, cat)), s"answer of $q")
+    assert(c.rows == c.answer.collect().length, s"row count of $q")
+    c.sketches
   }
 
   private def expectedFrags(q: Op, p: RangePartition): Set[Int] = {
@@ -179,10 +180,6 @@ class UseSpec extends SparkSpec {
   private val fState  = RangePartition("cities", "state", TString, stateBounds.toIndexedSeq)
   private val fPopden = RangePartition("cities", "popden", TLong, popdenBounds.toIndexedSeq)
 
-  /** The catalog `PbdsManager` runs a sketch hit over. */
-  private def sketchCatalog(sketches: Map[String, CapturedSketch]) =
-    new repro.storage.ZoneMapTableStore(Map.empty, catalog).catalog(spark, sketches)
-
   test("instrument wraps the table access in the decoded selection") {
     val s = CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0)))
     Use.instrument(q2, Map("cities" -> s)) match {
@@ -211,17 +208,6 @@ class UseSpec extends SparkSpec {
     val a = citiesDf.filter(s.toColumn).collect().map(_.toString).sorted.toSeq
     val b = citiesDf.filter(s.membership).collect().map(_.toString).sorted.toSeq
     assert(a == b && a.size == 3) // the three f1 rows
-  }
-  test("revalidateTopK accepts a sufficient sketch") {
-    val sketches = Capture.capture(q2, Seq(fState), catalog)
-    assert(Use.revalidateTopK(q2, sketchCatalog(sketches)))
-  }
-  test("revalidateTopK flags an insufficient sketch") {
-    // top-5 groups but the sketch covers only fragment f1 (2 groups: AK, CA)
-    val q = TopK(Seq(("avgden", false)), 5,
-      Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")), cities))
-    val tiny = Map("cities" -> CapturedSketch(fState, BitSketch.fromFragments(4, Seq(0))))
-    assert(!Use.revalidateTopK(q, sketchCatalog(tiny)))
   }
   test("sketch of all fragments decodes to PTrue (no-op filter)") {
     val s = CapturedSketch(fState, BitSketch.full(4))

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.file.Files
+
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
@@ -9,7 +11,8 @@ import repro.algebra._
 /** Self-tuning manager behaviour (Sec. 9.5 strategies). */
 class PbdsSpec extends SparkSpec {
   import Fixtures._
-  import repro.storage.ZoneMapTableStore
+  import repro.storage.{ZoneMapStore, ZoneMapTableStore}
+  import repro.workloads.TpchLite
 
   private lazy val citiesDf = sparkDf(spark, citiesSchema, citiesRows)
   private lazy val store = new ZoneMapTableStore(Map.empty, Map("cities" -> citiesDf))
@@ -145,28 +148,138 @@ class PbdsSpec extends SparkSpec {
     }
   }
 
-  test("top-k re-validation falls back when the sketch is too small") {
+  /** Top-k of the average density per state, over cities whose density
+    * is at least `p`. With stats popden ∈ [2000, 7000], bindings p ≤ 2000
+    * select every city, so the reuse checker matches them to each other.
+    */
+  private def topAvg(name: String, k: Int) = Template(name, TopK(Seq(("avgden", false), ("state", true)), k,
+    Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")),
+      Select(Col("popden") >= Param("p"), cities))))
+
+  private def plainRows(t: Template, b: Map[String, Any]): Set[String] =
+    resultSet(ToSpark.compile(Algebra.bind(t.op, b), Map("cities" -> citiesDf)))
+
+  test("an exact-binding top-5 hit over the 4 states is a SketchUse equal to plain") {
     val m = manager()
-    val t = Template("top5", TopK(Seq(("avgden", false), ("state", true)), 5,
-      Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")),
-        Select(Col("popden") >= Param("p"), cities))))
+    val t = topAvg("top5", 5)
+    val b = Map[String, Any]("p" -> 2000L)
+    val (captured, d1) = m.run(t, b)
+    assert(d1.action == Pbds.CaptureRun && resultSet(captured).size == 4)
+    // τ's input holds 4 rows: the hit needs as many as its capture returned
+    val (df, d) = m.run(t, b)
+    assert(d.action == Pbds.SketchUse && d.reusedFrom.contains(b))
+    assert(resultSet(df) == plainRows(t, b))
+  }
+
+  test("a top-k reuse hit from another binding with k rows is a SketchUse") {
+    val m = manager()
+    val t = topAvg("top2", 2)
     val b = Map[String, Any]("p" -> 2000L)
     assert(m.run(t, b)._2.action == Pbds.CaptureRun)
-    // only 4 states exist — the top-5 input can never reach k=5 rows, so the
-    // conservative re-validation refuses the sketch
-    assert(m.run(t, b)._2.action == Pbds.Fallback)
+    val b2 = Map[String, Any]("p" -> 1500L)
+    val (df, d) = m.run(t, b2)
+    assert(d.action == Pbds.SketchUse && d.reusedFrom.contains(b))
+    assert(resultSet(df) == plainRows(t, b2))
+  }
+
+  test("a top-k reuse hit from another binding short of k falls back to plain") {
+    val m = manager()
+    val t = topAvg("top5", 5)
+    val b = Map[String, Any]("p" -> 2000L)
+    assert(m.run(t, b)._2.action == Pbds.CaptureRun)
+    // a reuse hit needs k = 5 rows, and only 4 states exist
+    val b2 = Map[String, Any]("p" -> 1500L)
+    val (df, d) = m.run(t, b2)
+    assert(d.action == Pbds.Fallback && d.reusedFrom.contains(b))
+    assert(resultSet(df) == plainRows(t, b2))
+  }
+
+  test("a top-k use runs one collect of the pruned plan in run and no job after it") {
+    val m = manager()
+    val t = topAvg("top2", 2)
+    val b = Map[String, Any]("p" -> 2000L)
+    assert(m.run(t, b)._2.action == Pbds.CaptureRun)
+    val sketches = m.storedFor("top2").head.sketches
+    val pruned = ToSpark.compile(Algebra.bind(t.op, b), store.catalog(spark, sketches))
+    val (_, prunedJobs) = jobsDuring(pruned.collect())
+    val ((df, d), runJobs) = jobsDuring(m.run(t, b))
+    assert(d.action == Pbds.SketchUse)
+    assert(runJobs == prunedJobs && runJobs > 0)
+    val (rows, collectJobs) = jobsDuring(resultSet(df))
+    assert(collectJobs == 0)
+    assert(rows == plainRows(t, b))
+  }
+
+  test("a template with a top-k below its root runs plain and stores no sketch") {
+    val m = manager()
+    val top2 = topAvg("top2", 2).op
+    val t = Template("nested", Select(Col("avgden") > Lit(4000L), top2))
+    val b = Map[String, Any]("p" -> 2000L)
+    for (_ <- 1 to 3) {
+      val (df, d) = m.run(t, b)
+      assert(d.action == Pbds.NoPs)
+      assert(resultSet(df) == plainRows(t, b))
+    }
+    assert(m.sketchesFor("nested").isEmpty)
+  }
+
+  test("eviction drops a capture's row count together with its sketch") {
+    val m = manager()
+    val t = topAvg("top5", 5)
+    // pairwise non-reusable bindings: each one captures
+    val bs = (0 to Pbds.SketchesPerTemplate).map(i => Map[String, Any]("p" -> (2001L + i)))
+    for (b <- bs) assert(m.run(t, b)._2.action == Pbds.CaptureRun, s"$b")
+    val kept = m.storedFor("top5")
+    assert(kept.map(_.binding) == bs.tail.reverse)
+    assert(kept.forall(_.rows == 4))
+    // the oldest binding lost its sketch and its row count: it captures
+    // both again, and its next hit is checked against the new count
+    assert(m.run(t, bs.head)._2.action == Pbds.CaptureRun)
+    val newest = m.storedFor("top5").head
+    assert(newest.binding == bs.head && newest.rows == 4)
+    val (df, d) = m.run(t, bs.head)
+    assert(d.action == Pbds.SketchUse && d.reusedFrom.contains(bs.head))
+    assert(resultSet(df) == plainRows(t, bs.head))
   }
 
   test("top-k use succeeds when the sketch covers k rows") {
     val m = manager()
-    val t = Template("top2", TopK(Seq(("avgden", false), ("state", true)), 2,
-      Aggregate(Seq("state"), Seq(Agg(FAvg, Col("popden"), "avgden")),
-        Select(Col("popden") >= Param("p"), cities))))
+    val t = topAvg("top2", 2)
     val b = Map[String, Any]("p" -> 2000L)
     assert(m.run(t, b)._2.action == Pbds.CaptureRun)
     val (df, d) = m.run(t, b)
     assert(d.action == Pbds.SketchUse)
-    val direct = ToSpark.compile(Algebra.bind(t.op, b), Map("cities" -> citiesDf))
-    assert(resultSet(df) == resultSet(direct))
+    assert(resultSet(df) == plainRows(t, b))
+  }
+
+  test("TPC-H-lite top-k queries: second runs equal plain, Q18's short input is a use") {
+    val sf = 0.005
+    val mem = TpchLite.catalog(spark, sf)
+    val dir = Files.createTempDirectory("pbds-tpch").toString
+    val used = TpchLite.queries.filter(w => Set("Q3", "Q5", "Q10", "Q15", "Q18")(w.name))
+    val tables = used.flatMap(w => Algebra.tables(w.q)).distinctBy(_.name)
+    val attrs = used.flatMap(_.sketchAttrs).distinct.groupMap(_._1)(_._2)
+    val zoned = tables.map { t =>
+      val zoneAttr = attrs.get(t.name).fold(t.schema.head._1)(_.head)
+      t.name -> ZoneMapStore.write(mem(t.name), s"$dir/${t.name}", zoneAttr, 4)
+    }.toMap
+    val types = tables.flatMap(_.schema).toMap
+    val candidates = attrs.map { case (t, as) =>
+      t -> as.map(a => RangePartition.equiDepth(mem(t), t, a, types(a), 64))
+    }
+    val zStore = new ZoneMapTableStore(zoned)
+    val m = new PbdsManager(spark, zStore, candidates, TpchLite.stats(sf))
+    def rows(df: org.apache.spark.sql.DataFrame): Seq[String] = df.collect().map(_.toSeq.map {
+      case d: Double => f"$d%.9g"
+      case x         => String.valueOf(x)
+    }.mkString("|")).sorted.toSeq
+    for (w <- used) {
+      val t = Template(w.name, w.q)
+      assert(m.run(t, Map.empty)._2.action == Pbds.CaptureRun, w.name)
+      val (df, d) = m.run(t, Map.empty)
+      assert(rows(df) == rows(ToSpark.compile(w.q, zStore.catalog(spark))), w.name)
+      info(s"${w.name}: ${d.action}, ${rows(df).size} rows")
+      if (w.name == "Q18") assert(d.action == Pbds.SketchUse && rows(df).size < 100)
+    }
   }
 }
