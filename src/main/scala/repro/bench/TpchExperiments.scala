@@ -81,13 +81,16 @@ object TpchExperiments {
   }
 
   /** T4: decode strategy comparison on the in-memory store for the most
-    * selective queries (cf. Fig. 11c OR vs binary search).
+    * selective queries (cf. Fig. 11c OR vs binary search). `filterSec` times
+    * `CapturedSketch.filter`, the decode the stores apply: the OR for a
+    * sketch of at most `ZoneMapStore.MaxOrRanges` merged `ranges`, binary
+    * search beyond.
     */
   def decodeComparison(spark: SparkSession, sf: Double, nFrags: Int, reps: Int = 3): Unit = {
     val mem = TpchLite.catalog(spark, sf).map { case (k, v) => k -> v.cache() }
     mem.values.foreach(_.count())
     header("T4", s"Sketch decode: OR-of-ranges vs binary-search UDF (s), PS$nFrags, cf. Fig. 11c",
-      "query", "noPsSec", "orSec", "bsSec")
+      "query", "noPsSec", "orSec", "bsSec", "filterSec", "ranges")
     for (w <- Seq(TpchLite.queries.find(_.name == "Q3").get,
                   TpchLite.queries.find(_.name == "Q10").get,
                   TpchLite.queries.find(_.name == "Q18").get)) {
@@ -101,7 +104,10 @@ object TpchExperiments {
       val noPs = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, mem)))
       val orSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, decoded(_.toColumn))))
       val bsSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, decoded(_.membership))))
-      row("T4", w.name, noPs, orSec, bsSec)
+      val filterSec = timed(reps = reps)(BenchUtil.run(ToSpark.compile(w.q, decoded(_.filter))))
+      val ranges = sketches.toSeq.sortBy(_._1)
+        .map { case (t, s) => s"$t:${s.partition.mergedRanges(s.fragments).size}" }.mkString(",")
+      row("T4", w.name, noPs, orSec, bsSec, filterSec, ranges)
     }
   }
 }

@@ -7,6 +7,7 @@ import org.apache.spark.sql.functions.{col, lit, udf, when}
 import repro.algebra._
 import repro.algebra.Lineage.compareAny
 import repro.stats.EquiDepth
+import repro.storage.ZoneMapStore
 
 /** Range partition of one attribute (paper Def. 2), encoded as `n-1` sorted
   * boundary values: fragment 0 = (-∞, b₀], fragment i = (bᵢ₋₁, bᵢ],
@@ -132,12 +133,14 @@ final case class CapturedSketch(partition: RangePartition, bits: BitSketch) {
   def toColumn: Column = partition.toColumn(fragments)
   /** Binary-search membership test: O(log n) per row, but opaque to Parquet. */
   def membership: Column = partition.lookupColumn(bits.get)
-  /** The decode every store applies (Sec. 8.1): the OR of merged ranges,
-    * which Parquet can push down, unless the sketch has so many disjoint
-    * ranges that evaluating the disjunction per row would dominate.
+  /** The decode every store applies (Sec. 8.1): binary-search membership,
+    * the paper's default, unless the sketch merges into at most
+    * `ZoneMapStore.MaxOrRanges` ranges; their OR costs no more per row and
+    * Parquet pushes it down.
     */
   def filter: Column =
-    if (partition.mergedRanges(fragments).size <= 512) toColumn else membership
+    if (partition.mergedRanges(fragments).size <= ZoneMapStore.MaxOrRanges) toColumn
+    else membership
   /** Superset union (Lemma 5: adding fragments keeps a sketch safe). */
   def union(o: CapturedSketch): CapturedSketch = {
     require(o.partition == partition, "sketches over different partitions")

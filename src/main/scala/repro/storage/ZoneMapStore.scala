@@ -1,7 +1,11 @@
 package repro.storage
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
+import org.apache.spark.sql.{DataFrame, DataFrameReader, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, StructType}
 import repro.algebra.Lineage.compareAny
 import repro.core.CapturedSketch
 
@@ -40,9 +44,11 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
 
   private[storage] def cachedScans: Int = scanCache.synchronized(scanCache.size)
 
-  /** Full scan — the No-PS baseline. */
+  /** Full scan — the No-PS baseline. It reads with the schema in a zone
+    * file's footer, so building it starts no Spark job.
+    */
   def scanAll(spark: SparkSession): DataFrame =
-    cached((spark, None))(spark.read.parquet(path))
+    cached((spark, None))(ZoneMapStore.reader(spark, zones.headOption.map(_.path)).parquet(path))
 
   private def overlaps(z: FileZone, lo: Option[Any], hi: Option[Any]): Boolean =
     lo.forall(l => compareAny(l, z.max) < 0) && hi.forall(h => compareAny(z.min, h) <= 0)
@@ -57,7 +63,8 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
     *
     * The residual is `CapturedSketch.filter`: when it is the OR of merged
     * ranges, Parquet pushes it down for row-group skipping inside the
-    * surviving files.
+    * surviving files. The files are read with `scanAll`'s schema: no
+    * schema-inference job.
     */
   def prunedScan(spark: SparkSession, sketch: CapturedSketch): DataFrame = {
     require(sketch.partition.attr == attr,
@@ -67,7 +74,8 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
       else {
         val files = matchingFiles(sketch.partition.mergedRanges(sketch.fragments))
         if (files.isEmpty) scanAll(spark).filter(lit(false))
-        else spark.read.parquet(files.map(_.path): _*).filter(sketch.filter)
+        else spark.read.schema(scanAll(spark).schema).parquet(files.map(_.path): _*)
+          .filter(sketch.filter)
       }
     }
   }
@@ -79,6 +87,34 @@ object ZoneMapStore {
     * runs at most 48 instances, so it never evicts.
     */
   private[storage] val ScanCacheEntries = 64
+
+  /** Most merged ranges `CapturedSketch.filter` decodes as their OR; a
+    * sketch with more is decoded by binary-search membership, the paper's
+    * default decode (Sec. 8.1). Up to 8 ranges the OR is as cheap per row
+    * and Parquet pushes it down.
+    */
+  val MaxOrRanges = 8
+
+  /** Key under which Spark writes a file's schema into its Parquet footer. */
+  private val SparkSchemaKey = "org.apache.spark.sql.parquet.row.metadata"
+
+  /** The Spark schema written in `file`'s Parquet footer, read on the
+    * driver without a Spark job; None if the footer lacks Spark's key.
+    */
+  private[storage] def footerSchema(spark: SparkSession, file: String): Option[StructType] = {
+    val footer = ParquetFileReader.open(
+      HadoopInputFile.fromPath(new Path(file), spark.sparkContext.hadoopConfiguration))
+    val json =
+      try Option(footer.getFooter.getFileMetaData.getKeyValueMetaData.get(SparkSchemaKey))
+      finally footer.close()
+    json.map(DataType.fromJson(_).asInstanceOf[StructType])
+  }
+
+  /** Parquet reader with `file`'s footer schema, so `parquet(...)` starts no
+    * schema-inference job; without a file or its footer schema it infers.
+    */
+  private def reader(spark: SparkSession, file: Option[String]): DataFrameReader =
+    file.flatMap(footerSchema(spark, _)).fold(spark.read)(spark.read.schema(_))
 
   /** Range-cluster `df` on `attr` into ~`nFiles` sorted Parquet files.
     *
@@ -97,9 +133,14 @@ object ZoneMapStore {
     load(df.sparkSession, path, attr)
   }
 
-  /** Rebuild the zone map from the files on disk (one stats pass). */
+  /** Rebuild the zone map from the files on disk (one stats pass, read with
+    * the footer schema of a listed part file: no schema-inference job).
+    */
   def load(spark: SparkSession, path: String, attr: String): ZoneMapStore = {
-    val zones = spark.read.parquet(path)
+    val dir = new Path(path)
+    val part = dir.getFileSystem(spark.sparkContext.hadoopConfiguration).listStatus(dir)
+      .map(_.getPath).find(_.getName.endsWith(".parquet"))
+    val zones = reader(spark, part.map(_.toString)).parquet(path)
       .groupBy(input_file_name().as("_file"))
       .agg(min(col(attr)).as("_min"), max(col(attr)).as("_max"), count(lit(1)).as("_rows"))
       .collect()

@@ -1,5 +1,8 @@
 package repro
 
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -14,6 +17,29 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Result of `f` and the number of Spark jobs started while it ran. A
+    * marker job started afterwards drains the listener bus, which delivers
+    * events in order.
+    */
+  protected def jobsDuring[T](f: => T): (T, Int) = {
+    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      val r = f
+      sc.setJobDescription("marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30000000000L
+      while (!started.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(started.contains("marker"), "listener never saw the marker job")
+      (r, started.asScala.takeWhile(_ != "marker").size)
+    } finally sc.removeSparkListener(listener)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

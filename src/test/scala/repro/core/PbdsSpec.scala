@@ -2,9 +2,7 @@ package repro.core
 
 import java.nio.file.Files
 
-import scala.jdk.CollectionConverters._
-
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import repro.{Fixtures, SparkSpec}
 import repro.algebra._
 
@@ -47,29 +45,6 @@ class PbdsSpec extends SparkSpec {
     assert(d3.action == Pbds.SketchUse && d3.reusedFrom.contains(b1))
     val direct = ToSpark.compile(Algebra.bind(tmpl.op, b3), Map("cities" -> citiesDf))
     assert(resultSet(df3) == resultSet(direct))
-  }
-
-  /** Result of `f` and the number of Spark jobs started while it ran. A
-    * marker job started afterwards drains the listener bus, which delivers
-    * events in order.
-    */
-  private def jobsDuring[T](f: => T): (T, Int) = {
-    val started = new java.util.concurrent.ConcurrentLinkedQueue[String]
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        started.add(String.valueOf(Option(e.properties).map(_.getProperty("spark.job.description")).orNull))
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
-      val r = f
-      sc.setJobDescription("marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      val deadline = System.nanoTime() + 30000000000L
-      while (!started.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(started.contains("marker"), "listener never saw the marker job")
-      (r, started.asScala.takeWhile(_ != "marker").size)
-    } finally sc.removeSparkListener(listener)
   }
 
   test("a capturing run returns the answer its one execution computed") {
@@ -279,7 +254,14 @@ class PbdsSpec extends SparkSpec {
       val (df, d) = m.run(t, Map.empty)
       assert(rows(df) == rows(ToSpark.compile(w.q, zStore.catalog(spark))), w.name)
       info(s"${w.name}: ${d.action}, ${rows(df).size} rows")
-      if (w.name == "Q18") assert(d.action == Pbds.SketchUse && rows(df).size < 100)
+      if (w.name == "Q18") {
+        assert(d.action == Pbds.SketchUse && rows(df).size < 100)
+        // more than `ZoneMapStore.MaxOrRanges` ranges: decoded by membership
+        val sketches = m.storedFor(w.name).head.sketches
+        assert(sketches.values.exists(s => s.partition.mergedRanges(s.fragments).size > ZoneMapStore.MaxOrRanges))
+        val pruned = ToSpark.compile(w.q, zStore.catalog(spark, sketches)).queryExecution.optimizedPlan
+        assert(pruned.exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF]))))
+      }
     }
   }
 }

@@ -148,17 +148,43 @@ class ZoneMapStoreSpec extends SparkSpec {
     }
   }
 
-  test("sketch.filter: OR of ranges up to 512 ranges, membership UDF beyond") {
-    val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 2000)
-    val many = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until p.nFragments by 2))
-    val few = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
-    assert(p.mergedRanges(many.fragments).size > 512)
+  test("sketch.filter: OR of up to 8 merged ranges, pushed down; membership UDF beyond") {
+    val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 64)
+    val eight = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until 16 by 2))
+    val nine = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until 18 by 2))
+    assert(p.mergedRanges(eight.fragments).size == ZoneMapStore.MaxOrRanges)
+    assert(p.mergedRanges(nine.fragments).size == ZoneMapStore.MaxOrRanges + 1)
     val stores = Seq("zoned" -> new ZoneMapTableStore(Map("t" -> keysStore)),
                      "mem" -> new ZoneMapTableStore(Map.empty, extra = Map("t" -> keys)))
-    for ((name, st) <- stores; sk <- Seq(many, few)) {
+    for ((name, st) <- stores; sk <- Seq(eight, nine)) {
       val scanned = st.scanWithSketch(spark, "t", sk)
       assert(sortedKeys(scanned) == sortedKeys(keys.filter(sk.toColumn)), s"store=$name")
-      assert(hasUdf(scanned) == (sk eq many), s"store=$name")
+      assert(hasUdf(scanned) == (sk eq nine), s"store=$name")
     }
+    val pushed = keysStore.prunedScan(spark, eight).queryExecution.executedPlan
+      .collect { case s: FileSourceScanExec => s.metadata("PushedFilters") }.mkString
+    for (i <- 0 until 16 by 2) {
+      assert(pushed.contains(s"LessThanOrEqual(k,${p.bounds(i)})"), pushed)
+      if (i > 0) assert(pushed.contains(s"GreaterThan(k,${p.bounds(i - 1)})"), pushed)
+    }
+  }
+
+  test("scans of a store rebuilt from its zones start no job and keep schema and rows") {
+    val crimes = SynthData.crimes(spark, sf = 0.001)
+    val dir = tmp()
+    val written = ZoneMapStore.write(crimes, dir, "cr_id", 4)
+    def rebuilt = new ZoneMapStore(written.path, written.attr, written.zones)
+    val inferred = spark.read.parquet(dir)
+    assert(ZoneMapStore.footerSchema(spark, written.zones.head.path).exists(!_("cr_id").nullable))
+    assert(inferred.schema.forall(_.nullable))
+    val p = RangePartition.equiDepth(crimes, "crimes", "cr_id", TLong, 16)
+    val sk = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(2, 3, 9)))
+    val (all, allJobs) = jobsDuring(rebuilt.scanAll(spark))
+    val (pruned, prunedJobs) = jobsDuring(rebuilt.prunedScan(spark, sk))
+    assert(allJobs == 0 && prunedJobs == 0, s"scanAll $allJobs jobs, prunedScan $prunedJobs jobs")
+    assert(all.schema == inferred.schema && pruned.schema == inferred.schema)
+    def rows(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
+    assert(rows(all) == rows(inferred))
+    assert(rows(pruned) == rows(inferred.filter(sk.toColumn)))
   }
 }
