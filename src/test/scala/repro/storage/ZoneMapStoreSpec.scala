@@ -148,6 +148,24 @@ class ZoneMapStoreSpec extends SparkSpec {
     }
   }
 
+  // Named for the earlier cutoff of 512 ranges; both ends it checks hold
+  // under `ZoneMapStore.MaxOrRanges` too: a few ranges take the OR, more than
+  // 512 the membership UDF. The next test checks the boundary itself.
+  test("sketch.filter: OR of ranges up to 512 ranges, membership UDF beyond") {
+    val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 2000)
+    val many = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until p.nFragments by 2))
+    val few = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, Seq(0, 1, 5)))
+    assert(p.mergedRanges(many.fragments).size > 512)
+    assert(p.mergedRanges(few.fragments).size <= ZoneMapStore.MaxOrRanges)
+    val stores = Seq("zoned" -> new ZoneMapTableStore(Map("t" -> keysStore)),
+                     "mem" -> new ZoneMapTableStore(Map.empty, extra = Map("t" -> keys)))
+    for ((name, st) <- stores; sk <- Seq(many, few)) {
+      val scanned = st.scanWithSketch(spark, "t", sk)
+      assert(sortedKeys(scanned) == sortedKeys(keys.filter(sk.toColumn)), s"store=$name")
+      assert(hasUdf(scanned) == (sk eq many), s"store=$name")
+    }
+  }
+
   test("sketch.filter: OR of up to 8 merged ranges, pushed down; membership UDF beyond") {
     val p = RangePartition.equiDepth(keysStore.scanAll(spark), "t", "k", TLong, 64)
     val eight = CapturedSketch(p, BitSketch.fromFragments(p.nFragments, 0 until 16 by 2))
