@@ -42,9 +42,9 @@ class CaptureOptBench extends SparkSpec {
     assert(caseSec > bsSec, s"PS$nf: CASE ($caseSec s) should be slower than BS ($bsSec s)")
     // Fig. 12b shape: delay/no-copy do not lose to the naive copying merge
     // at the highest fragment count.
-    val (nf7, naive, delay, noCopy) = t7.last
-    assert(math.min(delay, noCopy) <= naive * 1.1,
-      s"PS$nf7: delay=$delay noCopy=$noCopy vs naive=$naive")
+    val m = t7.last
+    assert(math.min(m.delay, m.noCopy) <= m.naive * 1.1,
+      s"PS${m.nFrags}: delay=${m.delay} noCopy=${m.noCopy} vs naive=${m.naive}")
   }
 }
 

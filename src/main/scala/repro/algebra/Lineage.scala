@@ -8,6 +8,9 @@ package repro.algebra
   * ground truth: a provenance sketch must cover `provenance(Q, D)` (Def. 3),
   * and evaluating Q over the sketch instance of a *safe* sketch must equal
   * Q(D). Only meant for small test inputs — O(n²) joins, full materialization.
+  * NULLs follow SQL: arithmetic on NULL is NULL, a comparison with NULL is
+  * unknown (three-valued logic), joins never match NULL keys, and
+  * aggregates skip NULL inputs (a NULL result over none but `count`).
   */
 object Lineage {
 
@@ -40,13 +43,20 @@ object Lineage {
     case _                                    => java.lang.Double.compare(num(a), num(b))
   }
 
+  /** Null-safe equality (SQL `<=>`): min/max lineage keeps the rows whose
+    * input equals the extreme, a NULL extreme included.
+    */
+  private def sameValue(a: Any, b: Any): Boolean =
+    if (a == null || b == null) a == null && b == null else compareAny(a, b) == 0
+
   def evalExpr(e: Expr, t: Map[String, Any]): Any = e match {
     case Col(n)   => t.getOrElse(n, sys.error(s"no column $n in ${t.keys}"))
     case Lit(v)   => v
     case Param(n) => sys.error(s"unbound parameter $$$n")
     case Arith(op, l, r) =>
       val a = evalExpr(l, t); val b = evalExpr(r, t)
-      op match {
+      if (a == null || b == null) null
+      else op match {
         case "/" => num(a) / num(b)
         case _ =>
           if (isIntegral(a) && isIntegral(b)) {
@@ -59,26 +69,46 @@ object Lineage {
       }
   }
 
-  def evalPred(p: Pred, t: Map[String, Any]): Boolean = p match {
+  /** Whether `t` satisfies `p`; an unknown result (NULL) does not. */
+  def evalPred(p: Pred, t: Map[String, Any]): Boolean = eval3(p, t).contains(true)
+
+  /** Three-valued `p`: None is unknown. */
+  private def eval3(p: Pred, t: Map[String, Any]): Option[Boolean] = p match {
     case Cmp(op, l, r) =>
-      val c = compareAny(evalExpr(l, t), evalExpr(r, t))
-      op match {
-        case "<" => c < 0; case "<=" => c <= 0; case "=" => c == 0
-        case "<>" => c != 0; case ">=" => c >= 0; case ">" => c > 0
+      val a = evalExpr(l, t); val b = evalExpr(r, t)
+      if (a == null || b == null) None
+      else {
+        val c = compareAny(a, b)
+        Some(op match {
+          case "<" => c < 0; case "<=" => c <= 0; case "=" => c == 0
+          case "<>" => c != 0; case ">=" => c >= 0; case ">" => c > 0
+        })
       }
-    case PAnd(l, r) => evalPred(l, t) && evalPred(r, t)
-    case POr(l, r)  => evalPred(l, t) || evalPred(r, t)
-    case PNot(q)    => !evalPred(q, t)
-    case PTrue      => true
+    case PAnd(l, r) => (eval3(l, t), eval3(r, t)) match {
+      case (Some(false), _) | (_, Some(false)) => Some(false)
+      case (Some(true), Some(true))            => Some(true)
+      case _                                   => None
+    }
+    case POr(l, r) => (eval3(l, t), eval3(r, t)) match {
+      case (Some(true), _) | (_, Some(true)) => Some(true)
+      case (Some(false), Some(false))        => Some(false)
+      case _                                 => None
+    }
+    case PNot(q) => eval3(q, t).map(!_)
+    case PTrue   => Some(true)
   }
 
-  private def aggValue(fn: AggFn, vs: Seq[Any]): Any = fn match {
-    case FCount => vs.size.toLong
-    case FSum =>
-      if (vs.forall(isIntegral)) vs.map(num(_).toLong).sum else vs.map(num).sum
-    case FAvg   => vs.map(num).sum / vs.size
-    case FMin   => vs.reduce((a, b) => if (compareAny(a, b) <= 0) a else b)
-    case FMax   => vs.reduce((a, b) => if (compareAny(a, b) >= 0) a else b)
+  private def aggValue(fn: AggFn, all: Seq[Any]): Any = {
+    val vs = all.filter(_ != null)
+    fn match {
+      case FCount          => vs.size.toLong
+      case _ if vs.isEmpty => null
+      case FSum =>
+        if (vs.forall(isIntegral)) vs.map(num(_).toLong).sum else vs.map(num).sum
+      case FAvg => vs.map(num).sum / vs.size
+      case FMin => vs.reduce((a, b) => if (compareAny(a, b) <= 0) a else b)
+      case FMax => vs.reduce((a, b) => if (compareAny(a, b) >= 0) a else b)
+    }
   }
 
   // --- interpreter ------------------------------------------------------
@@ -105,7 +135,7 @@ object Lineage {
           if (aggs.nonEmpty && aggs.forall(a => a.fn == FMin || a.fn == FMax)) {
             aggs.flatMap { a =>
               val extreme = aggValue(a.fn, ts.map(t => evalExpr(a.input, t.values)))
-              ts.filter(t => compareAny(evalExpr(a.input, t.values), extreme) == 0)
+              ts.filter(t => sameValue(evalExpr(a.input, t.values), extreme))
             }.flatMap(_.prov).toSet
           } else ts.flatMap(_.prov).toSet
         ATuple(key ++ aggVals.toMap, prov)
@@ -125,7 +155,8 @@ object Lineage {
       val lf = run(l, db); val rf = run(r, db)
       for {
         a <- lf; b <- rf
-        if on.forall { case (lc, rc) => compareAny(a.values(lc), b.values(rc)) == 0 }
+        if on.forall { case (lc, rc) =>
+          a.values(lc) != null && b.values(rc) != null && compareAny(a.values(lc), b.values(rc)) == 0 }
       } yield ATuple(a.values ++ b.values, a.prov ++ b.prov)
     case UnionAll(l, r) =>
       // Union aligns by position (bag union); attr names of the left prevail.
@@ -151,7 +182,7 @@ object Lineage {
       rows.map(_.view.mapValues {
         case v if isIntegral(v) => f"${num(v)}%.6f"
         case d: Double          => f"$d%.6f"
-        case x                  => x.toString
+        case x                  => String.valueOf(x)
       }.toMap).sortBy(_.toSeq.sortBy(_._1).mkString)
     canon(a) == canon(b)
   }

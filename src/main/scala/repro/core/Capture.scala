@@ -11,29 +11,58 @@ import repro.algebra._
 /** Provenance-sketch capture by query instrumentation (paper Sec. 7, Fig. 6).
   *
   * The input query is compiled bottom-up like `ToSpark`, but every sketched
-  * base table gains an annotation column `_ps_<table>` (rule r0/INIT) that is
-  * propagated through σ/Π/τ/⋈/∪ unchanged (r1, r2, r4–r6) and merged with a
-  * BITOR aggregate at every γ/δ (r3). The instrumented plan runs once: its
-  * rows are the query's answer, and the final global BITOR (r7) is an OR on
-  * the driver over their annotation columns.
+  * base table gains an annotation (rule r0/INIT) that is propagated through
+  * σ/Π/τ/⋈/∪ unchanged (r1, r2, r4–r6) and merged with a BITOR aggregate
+  * at every γ/δ (r3). The instrumented plan runs once: its rows are the
+  * query's answer, and the final global BITOR (r7) is an OR on the driver
+  * over their annotation columns.
   *
   * Capture has one path, built from the Sec. 7.3 optimizations: INIT is the
-  * binary-search lookup (`RangePartition.lookupColumn`); the annotation is a
-  * fragment index until the first aggregate, which turns it into a bitset
-  * (`FragToBitsetAgg`, the delay method), and later aggregates OR bitsets
-  * in place (`BitsetOrAgg` without copying). A single min/max aggregate
-  * uses r3's precise refinement: only extreme-achieving rows contribute.
-  * The baselines these optimizations beat (CASE-chain INIT, copying merge)
-  * are timed against the kernels in T6/T7 (`CaptureOptExperiments`).
+  * binary-search lookup (`RangePartition.lookupColumn`), and the annotation
+  * is a fragment index `_ps_<t>` until the first aggregate (the delay
+  * method). The merge has two kernels, chosen per table by the width of
+  * its partition:
+  *   - up to `MaxWordColumns` 64-bit words, the bitset is one Long column
+  *     `_ps_<t>_<j>` per word, merged with Spark's built-in `bit_or` (the
+  *     paper's Postgres `bit_or`). Every γ/δ stays a whole-stage-codegen
+  *     `HashAggregateExec`, and the query's own aggregates run in it;
+  *   - wider partitions keep one array column `_ps_<t>`: the first
+  *     aggregate turns indexes into a bitset (`FragToBitsetAgg`), later
+  *     ones OR bitsets in place (`BitsetOrAgg` without copying). These are
+  *     interpreted Aggregators (`ObjectHashAggregateExec`), O(1) per row
+  *     where the word columns cost O(words).
+  * A single min/max aggregate uses r3's precise refinement: only
+  * extreme-achieving rows contribute. The baselines these optimizations
+  * beat (CASE-chain INIT, copying merge) are timed against the kernels in
+  * T6/T7 (`CaptureOptExperiments`).
   */
 object Capture {
 
-  /** Whether a λ column currently holds a fragment index or a bitset. */
-  private sealed trait LState
-  private case object FragIdx extends LState
-  private case object Bitset extends LState
+  /** Widest partition, in 64-bit words (8 words = 512 fragments), whose
+    * annotation is merged by the `bit_or` word kernel; wider partitions use
+    * the Aggregators. T7 (`CaptureOptExperiments`) times the crossover.
+    */
+  val MaxWordColumns = 8
+
+  /** What a table's annotation currently is. */
+  private[core] sealed trait LState
+  /** A fragment index, one Int column `_ps_<t>`: INIT up to the first γ/δ. */
+  private[core] case object FragIdx extends LState
+  /** A bitset, one array column `_ps_<t>`: merged by the Aggregators. */
+  private[core] case object Bitset extends LState
+  /** A bitset, one Long column `_ps_<t>_<j>` per word: merged by `bit_or`. */
+  private[core] case object Words extends LState
 
   private def lcol(table: String): String = s"_ps_$table"
+  private def wcol(table: String, j: Int): String = s"_ps_${table}_$j"
+
+  private def usesWords(p: RangePartition): Boolean = BitSketch.nWords(p.nFragments) <= MaxWordColumns
+
+  /** The columns carrying table `t`'s annotation in state `s`. */
+  private def annotationCols(t: String, s: LState, p: RangePartition): Seq[String] = s match {
+    case Words => (0 until BitSketch.nWords(p.nFragments)).map(wcol(t, _))
+    case _     => Seq(lcol(t))
+  }
 
   // --- aggregators ------------------------------------------------------
 
@@ -78,12 +107,36 @@ object Capture {
     def outputEncoder: ExpressionEncoder[Array[Long]] = arrayEnc
   }
 
+  /** The first `bit_or` merge of the word kernel: word j of the bitset of
+    * the fragment indexes in `frag`, `bit_or(1L << f)` over the rows whose
+    * index falls in word j. A NULL index sets no bit; a word no row sets
+    * is NULL.
+    */
+  def fragWords(frag: Column, nFragments: Int): Seq[Column] = {
+    val nw = BitSketch.nWords(nFragments)
+    val bit = call_function("shiftleft", lit(1L), frag.bitwiseAND(63))
+    if (nw == 1) Seq(bit_or(bit))
+    else (0 until nw).map(j => bit_or(when(shiftRight(frag, 6) === j, bit)))
+  }
+
   // --- capture ----------------------------------------------------------
 
   /** One instrumented execution: the answer as a local DataFrame, its row
     * count, and one sketch per sketched table.
     */
   final case class Captured(answer: DataFrame, rows: Int, sketches: Map[String, CapturedSketch])
+
+  /** The instrumented query `run` executes: the answer's columns plus the
+    * annotation columns of each sketched table, with their state.
+    */
+  private[core] def instrumented(q: Op, partitions: Seq[RangePartition],
+                                 catalog: Map[String, DataFrame]): (DataFrame, Map[String, LState]) = {
+    val parts = partitions.map(p => p.table -> p).toMap
+    require(parts.size == partitions.size, "one partition per table")
+    val (df, states) = prop(q, parts, catalog)
+    require(states.nonEmpty, "no sketched table is accessed by the query")
+    (df, states)
+  }
 
   /** Instrument `q` and execute it once, returning its answer and one sketch
     * per partition. The answer is a local DataFrame over the rows already
@@ -92,28 +145,31 @@ object Capture {
     * usable; capture itself is partition-agnostic.
     */
   def run(q: Op, partitions: Seq[RangePartition], catalog: Map[String, DataFrame]): Captured = {
+    val (df, states) = instrumented(q, partitions, catalog)
     val parts = partitions.map(p => p.table -> p).toMap
-    require(parts.size == partitions.size, "one partition per table")
-    val (df, states) = prop(q, parts, catalog)
-    require(states.nonEmpty, "no sketched table is accessed by the query")
     val fields = df.schema.fields
-    // Per sketched table: its state, its column and the bitset r7 ORs into.
+    // Per sketched table: its state, its columns and the bitset r7 ORs into.
     val ann = states.toSeq.map { case (t, s) =>
-      (t, s, fields.indexWhere(_.name == lcol(t)), new Array[Long](BitSketch.nWords(parts(t).nFragments)))
+      (t, s, annotationCols(t, s, parts(t)).map(c => fields.indexWhere(_.name == c)).toArray,
+        new Array[Long](BitSketch.nWords(parts(t).nFragments)))
     }
-    val answerIdx = fields.indices.filterNot(i => ann.exists(_._3 == i))
+    val annIdx = ann.flatMap(_._3).toSet
+    val answerIdx = fields.indices.filterNot(annIdx)
     val rows = df.collect()
     val answer = new java.util.ArrayList[Row](rows.length)
     for (r <- rows) {
       // r7: OR each row's annotations into one bitset per table. A NULL
-      // annotation (a NULL sketch attribute) adds nothing, as in the merges.
-      for ((_, s, i, w) <- ann if !r.isNullAt(i)) {
-        s match {
-          case FragIdx => val f = r.getInt(i); w(f >> 6) |= 1L << (f & 63)
-          case Bitset  =>
-            val b = r.getSeq[Long](i)
+      // annotation or word adds nothing, as in the merges.
+      for ((_, s, is, w) <- ann) s match {
+        case FragIdx =>
+          if (!r.isNullAt(is(0))) { val f = r.getInt(is(0)); w(f >> 6) |= 1L << (f & 63) }
+        case Bitset =>
+          if (!r.isNullAt(is(0))) {
+            val b = r.getSeq[Long](is(0))
             var j = 0; while (j < w.length) { w(j) |= b(j); j += 1 }
-        }
+          }
+        case Words =>
+          var j = 0; while (j < w.length) { if (!r.isNullAt(is(j))) w(j) |= r.getLong(is(j)); j += 1 }
       }
       answer.add(Row.fromSeq(answerIdx.map(r.get)))
     }
@@ -129,21 +185,27 @@ object Capture {
               catalog: Map[String, DataFrame]): Map[String, CapturedSketch] =
     run(q, partitions, catalog).sketches
 
-  /** One BITOR aggregate per annotation column: `FragToBitsetAgg` while the
-    * column still holds fragment indexes, the no-copy `BitsetOrAgg` after.
+  /** The BITOR aggregates of one γ/δ, per table by its kernel: `bit_or` of
+    * each word column (`fragWords` at the first merge) up to
+    * `MaxWordColumns` words, else `FragToBitsetAgg` while the column still
+    * holds fragment indexes and the no-copy `BitsetOrAgg` after.
     */
   private def merges(st: Map[String, LState], parts: Map[String, RangePartition]): Seq[Column] =
-    st.toSeq.map { case (t, s) =>
+    st.toSeq.flatMap { case (t, s) =>
       val p = parts(t)
-      val agg = s match {
-        case FragIdx => F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.INT)
-        case Bitset  => F.udaf(new BitsetOrAgg(BitSketch.nWords(p.nFragments), copy = false), arrayEnc)
+      val nw = BitSketch.nWords(p.nFragments)
+      s match {
+        case FragIdx if usesWords(p) =>
+          fragWords(col(lcol(t)), p.nFragments).zipWithIndex.map { case (c, j) => c.as(wcol(t, j)) }
+        case Words   => (0 until nw).map(j => bit_or(col(wcol(t, j))).as(wcol(t, j)))
+        case FragIdx => Seq(F.udaf(new FragToBitsetAgg(p.nFragments), Encoders.INT)(col(lcol(t))).as(lcol(t)))
+        case Bitset  => Seq(F.udaf(new BitsetOrAgg(nw, copy = false), arrayEnc)(col(lcol(t))).as(lcol(t)))
       }
-      agg(col(lcol(t))).as(lcol(t))
     }
 
-  private def bitsets(st: Map[String, LState]): Map[String, LState] =
-    st.map { case (t, _) => t -> (Bitset: LState) }
+  /** The states after a merge. */
+  private def merged(st: Map[String, LState], parts: Map[String, RangePartition]): Map[String, LState] =
+    st.map { case (t, _) => t -> (if (usesWords(parts(t))) Words else Bitset) }
 
   private def prop(op: Op, parts: Map[String, RangePartition],
                    catalog: Map[String, DataFrame]): (DataFrame, Map[String, LState]) =
@@ -162,7 +224,8 @@ object Capture {
         (df.filter(ToSpark.pred(pred)), st)
       case Project(items, c) =>
         val (df, st) = prop(c, parts, catalog)
-        val cols = items.map { case (e, a) => ToSpark.expr(e).as(a) } ++ st.keys.map(t => col(lcol(t)))
+        val cols = items.map { case (e, a) => ToSpark.expr(e).as(a) } ++
+          st.toSeq.flatMap { case (t, s) => annotationCols(t, s, parts(t)) }.map(col)
         (df.select(cols.toSeq: _*), st)
       case Aggregate(g, aggs, c) =>
         val (df, st) = prop(c, parts, catalog)
@@ -174,7 +237,7 @@ object Capture {
           val out =
             if (g.isEmpty) df.agg(cols.head, cols.tail: _*)
             else df.groupBy(g.map(col): _*).agg(cols.head, cols.tail: _*)
-          (out, bitsets(st))
+          (out, merged(st, parts))
         }
       case TopK(order, k, c) =>
         val (df, st) = prop(c, parts, catalog)
@@ -197,7 +260,7 @@ object Capture {
         if (st.isEmpty) (df.distinct(), st)
         else {
           val cols = merges(st, parts)
-          (df.groupBy(c.columns.map(col): _*).agg(cols.head, cols.tail: _*), bitsets(st))
+          (df.groupBy(c.columns.map(col): _*).agg(cols.head, cols.tail: _*), merged(st, parts))
         }
     }
 
@@ -222,6 +285,6 @@ object Capture {
     val joined = aggDf.join(base, cond, "left_outer")
     val ms = merges(st, parts)
     val out = joined.groupBy((g :+ a.alias).map(col): _*).agg(ms.head, ms.tail: _*)
-    (out, bitsets(st))
+    (out, merged(st, parts))
   }
 }

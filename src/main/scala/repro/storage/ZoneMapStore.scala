@@ -1,9 +1,11 @@
 package repro.storage
 
-import org.apache.hadoop.fs.Path
+import org.apache.hadoop.fs.{FileStatus, Path}
 import org.apache.parquet.hadoop.ParquetFileReader
 import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, DataFrameReader, SparkSession}
+import org.apache.spark.sql.execution.datasources.{FileStatusCache, HadoopFsRelation, InMemoryFileIndex}
+import org.apache.spark.sql.execution.datasources.parquet.ParquetFileFormat
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DataType, StructType}
 import repro.algebra.Lineage.compareAny
@@ -63,8 +65,9 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
     *
     * The residual is `CapturedSketch.filter`: when it is the OR of merged
     * ranges, Parquet pushes it down for row-group skipping inside the
-    * surviving files. The files are read with `scanAll`'s schema: no
-    * schema-inference job.
+    * surviving files. Building it starts no Spark job, whatever the
+    * number of files: they are read with `scanAll`'s schema (no
+    * schema-inference job) through `readFiles` (no file-listing job).
     */
   def prunedScan(spark: SparkSession, sketch: CapturedSketch): DataFrame = {
     require(sketch.partition.attr == attr,
@@ -74,7 +77,7 @@ final class ZoneMapStore(val path: String, val attr: String, val zones: Seq[File
       else {
         val files = matchingFiles(sketch.partition.mergedRanges(sketch.fragments))
         if (files.isEmpty) scanAll(spark).filter(lit(false))
-        else spark.read.schema(scanAll(spark).schema).parquet(files.map(_.path): _*)
+        else ZoneMapStore.readFiles(spark, files.map(_.path), scanAll(spark).schema)
           .filter(sketch.filter)
       }
     }
@@ -115,6 +118,27 @@ object ZoneMapStore {
     */
   private def reader(spark: SparkSession, file: Option[String]): DataFrameReader =
     file.flatMap(footerSchema(spark, _)).fold(spark.read)(spark.read.schema(_))
+
+  /** Parquet scan of exactly `files`, with `schema`. `spark.read.parquet`
+    * of more than 32 paths lists them in a Spark job (the session's
+    * parallel-partition-discovery threshold); here the driver reads each
+    * file's status and hands them to the file index through its status
+    * cache, so the index lists nothing. The relation is the one
+    * `spark.read.schema(schema).parquet(files: _*)` builds.
+    */
+  private def readFiles(spark: SparkSession, files: Seq[String], schema: StructType): DataFrame = {
+    val conf = spark.sparkContext.hadoopConfiguration
+    val statuses = files.map { f => val p = new Path(f); p.getFileSystem(conf).getFileStatus(p) }
+    val byPath = statuses.map(st => st.getPath -> Array(st)).toMap
+    val cache = new FileStatusCache {
+      override def getLeafFiles(p: Path): Option[Array[FileStatus]] = byPath.get(p)
+      def putLeafFiles(p: Path, leaves: Array[FileStatus]): Unit = ()
+      def invalidateAll(): Unit = ()
+    }
+    val index = new InMemoryFileIndex(spark, statuses.map(_.getPath), Map.empty, Some(schema), cache)
+    spark.baseRelationToDataFrame(
+      HadoopFsRelation(index, index.partitionSchema, schema, None, new ParquetFileFormat, Map.empty)(spark))
+  }
 
   /** Range-cluster `df` on `attr` into ~`nFiles` sorted Parquet files.
     *

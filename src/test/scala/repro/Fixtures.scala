@@ -16,8 +16,9 @@ object Fixtures {
   }
 
   /** Build a DataFrame from an IR schema + row tuples. */
-  def sparkDf(spark: SparkSession, schema: Seq[(String, SqlType)], rows: Seq[Seq[Any]]): DataFrame = {
-    val st = StructType(schema.map { case (n, t) => StructField(n, sparkType(t), nullable = false) })
+  def sparkDf(spark: SparkSession, schema: Seq[(String, SqlType)], rows: Seq[Seq[Any]],
+              nullable: Boolean = false): DataFrame = {
+    val st = StructType(schema.map { case (n, t) => StructField(n, sparkType(t), nullable) })
     spark.createDataFrame(
       spark.sparkContext.parallelize(rows.map(Row.fromSeq), 2), st)
   }

@@ -3,7 +3,9 @@ package repro
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -39,6 +41,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       assert(started.contains("marker"), "listener never saw the marker job")
       (r, started.asScala.takeWhile(_ != "marker").size)
     } finally sc.removeSparkListener(listener)
+  }
+
+  /** The operators of `df`'s executed plan in pre-order, read after an
+    * action has run it: adaptive plans, query stages and subqueries are
+    * descended into.
+    */
+  protected def executedOperators(df: DataFrame): Seq[SparkPlan] = {
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
+      case q: QueryStageExec        => nodes(q.plan)
+      case _                        => (p.children ++ p.subqueries).flatMap(nodes)
+    })
+    nodes(df.queryExecution.executedPlan)
   }
 
   override def afterAll(): Unit = { super.afterAll() }

@@ -6,6 +6,7 @@ import Fixtures._
 import Capture._
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.count
+import org.apache.spark.sql.execution.aggregate.{HashAggregateExec, ObjectHashAggregateExec, SortAggregateExec}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 /** Sketch capture (Sec. 7) against the Lineage interpreter ground truth. */
@@ -61,7 +62,7 @@ class CaptureSpec extends SparkSpec {
     val expected = sketchesOf(q, Seq(fState))("cities").bits
     assert(expected.fragments == Seq(0, 2, 3)) // every row: CA/AK, NY, TX
     for ((name, merge) <- repro.bench.CaptureOptExperiments.merges(fState)) {
-      val words = citiesDf.agg(count("city"), merge)
+      val words = repro.bench.CaptureOptExperiments.withFragment(citiesDf, fState).agg(count("city"), merge)
         .head().getAs[scala.collection.Seq[Long]](1).toArray
       assert(BitSketch.fromWords(fState.nFragments, words) == expected, s"merge=$name")
     }
@@ -167,6 +168,127 @@ class CaptureSpec extends SparkSpec {
       Aggregate(Seq.empty, Seq(Agg(FMin, Col("v"), "m")), Select(Col("k") > Lit(100L), nulls)))
     assert(rows == Seq("[null]"))
     assert(s.bits.isEmpty)
+  }
+
+  // --- both merge kernels, on either side of `Capture.MaxWordColumns` ----
+  //
+  // Tiny tables with NULLs. `w.k` is the sketch attribute of w (one row has
+  // k NULL), `u.uk` that of u; w joins u on g = ug. Group "e" has only NULL
+  // v, and some rows have a NULL group key. Partitions of 64, 512 and 520
+  // fragments are 1, 8 and 9 words: the two widths within the cutoff use
+  // the `bit_or` word columns, 520 uses the Aggregators.
+  private val kernelWidths = Seq(64, 512, 520)
+
+  private val w = TableRef("w", Seq("k" -> TLong, "g" -> TString, "v" -> TLong, "d" -> TDouble))
+  private val u = TableRef("u", Seq("uk" -> TLong, "ug" -> TString, "uv" -> TLong))
+  private val wRows: Seq[Seq[Any]] = (0 until 48).map { i =>
+    Seq(i * 117L, if (i % 11 == 5) null else Seq("a", "b", "c", "e")(i % 4),
+      if (i % 4 == 3 || i % 13 == 0) null else (i % 7).toLong, i * 0.37 + 0.01)
+  } :+ Seq(null, "a", 3L, 1.5)
+  private val uRows: Seq[Seq[Any]] = (0 until 20).map { i =>
+    Seq(i * 301L, Seq("a", "b", "e", "x")(i % 4), (i % 5).toLong)
+  }
+
+  private lazy val kernelCatalog = Map("w" -> sparkDf(spark, w.schema, wRows, nullable = true),
+    "u" -> sparkDf(spark, u.schema, uRows, nullable = true))
+  private lazy val kernelDb = Map("w" -> lineageTable(w.schema, wRows), "u" -> lineageTable(u.schema, uRows))
+
+  /** `n` equal-width fragments of `attr` over [0, 6000). */
+  private def widthPart(t: String, attr: String, n: Int): RangePartition =
+    RangePartition(t, attr, TLong, (1 until n).map(j => j * 6000L / n).toVector)
+
+  /** Rows equal as multisets, doubles within a 1e-9 relative tolerance. */
+  private def sameRows(a: Seq[Row], b: Seq[Row]): Boolean = {
+    def same(x: Any, y: Any): Boolean = (x, y) match {
+      case (p: Double, q: Double) => p == q || math.abs(p - q) <= 1e-9 * math.max(math.abs(p), math.abs(q))
+      case _                      => x == y
+    }
+    def sameRow(r: Row, o: Row) = r.length == o.length && (0 until r.length).forall(i => same(r.get(i), o.get(i)))
+    a.size == b.size && a.foldLeft(Option(b)) { (left, r) =>
+      left.flatMap { l => val i = l.indexWhere(sameRow(r, _)); if (i < 0) None else Some(l.patch(i, Nil, 1)) }
+    }.isDefined
+  }
+
+  /** Capture `q` over the kernel tables: its answer equals plain execution,
+    * and each sketch is the fragments of the Lineage provenance of its
+    * table (a row with a NULL sketch attribute lies in no fragment).
+    */
+  private def checkKernels(q: Op, parts: Seq[RangePartition]): Map[String, CapturedSketch] = {
+    val c = Capture.run(q, parts, kernelCatalog)
+    val plain = ToSpark.compile(q, kernelCatalog).collect().toSeq
+    assert(sameRows(c.answer.collect().toSeq, plain), s"answer of $q at ${parts.map(_.nFragments)}")
+    val prov = Lineage.provenance(q, kernelDb)
+    for (p <- parts) {
+      val values = prov.collect { case (t, i) if t == p.table => kernelDb(t)(i.toInt)(p.attr) }
+      val expected = values.filter(_ != null).map(p.fragmentOf)
+      assert(c.sketches(p.table).fragments.toSet == expected, s"${p.table} at ${p.nFragments} fragments")
+    }
+    c.sketches
+  }
+
+  private def atEachWidth(q: Op): Unit =
+    for (n <- kernelWidths) checkKernels(q, Seq(widthPart("w", "k", n)))
+
+  test("kernels at 1, 8 and 9 words: the first aggregate") {
+    atEachWidth(Select(Col("c") >= Lit(3L),
+      Aggregate(Seq("g"), Seq(Agg(FCount, Col("v"), "c"), Agg(FSum, Col("d"), "sd"), Agg(FAvg, Col("d"), "ad")),
+        Select(Col("d") > Lit(2.0), w))))
+  }
+  test("kernels at 1, 8 and 9 words: an aggregate over an aggregate") {
+    atEachWidth(Aggregate(Seq.empty, Seq(Agg(FCount, Col("g"), "n"), Agg(FSum, Col("sd"), "ssd")),
+      Select(Col("c") >= Lit(3L),
+        Aggregate(Seq("g"), Seq(Agg(FCount, Col("v"), "c"), Agg(FSum, Col("d"), "sd")), w))))
+  }
+  test("kernels at 1, 8 and 9 words: distinct") {
+    atEachWidth(Distinct(Project(Seq((Col("g"), "g")), Select(Col("v") < Lit(4L), w))))
+  }
+  test("kernels at 1, 8 and 9 words: union all under an aggregate") {
+    atEachWidth(Aggregate(Seq("g"), Seq(Agg(FCount, Col("v"), "c")),
+      UnionAll(Select(Col("k") <= Lit(2000L), w), Select(Col("v") >= Lit(5L), w))))
+  }
+  test("kernels at 1, 8 and 9 words: a join of tables on opposite sides of the cutoff") {
+    val q = Aggregate(Seq("g"), Seq(Agg(FSum, Col("uv"), "s"), Agg(FCount, Col("v"), "c")),
+      Select(Col("uv") >= Lit(1L), Join(w, u, Seq(("g", "ug")))))
+    for ((nw, nu) <- Seq((512, 520), (520, 512), (64, 520))) {
+      val s = checkKernels(q, Seq(widthPart("w", "k", nw), widthPart("u", "uk", nu)))
+      assert(s("w").partition.nFragments == nw && s("u").partition.nFragments == nu)
+    }
+  }
+  test("kernels at 1, 8 and 9 words: a NULL sketch attribute adds no fragment") {
+    for (n <- kernelWidths) {
+      val sel = checkKernels(Select(Col("v") === Lit(3L), w), Seq(widthPart("w", "k", n)))("w")
+      val agg = checkKernels(Aggregate(Seq("g"), Seq(Agg(FSum, Col("d"), "sd")),
+        Select(Col("g") === Lit("a"), w)), Seq(widthPart("w", "k", n)))("w")
+      // the NULL-k row is in both answers, and both sketches are non-empty
+      assert(!sel.bits.isEmpty && !agg.bits.isEmpty, s"$n fragments")
+    }
+  }
+  test("kernels at 1, 8 and 9 words: precise min/max over NULLs") {
+    // groups: a NULL key, all-NULL "e"; then a global min over no rows
+    atEachWidth(Aggregate(Seq("g"), Seq(Agg(FMax, Col("v"), "m")), w))
+    atEachWidth(Aggregate(Seq("g"), Seq(Agg(FMin, Col("v"), "m")), Select(Col("k") > Lit(3000L), w)))
+    for (n <- kernelWidths) {
+      val q = Aggregate(Seq.empty, Seq(Agg(FMin, Col("v"), "m")), Select(Col("k") > Lit(100000L), w))
+      assert(checkKernels(q, Seq(widthPart("w", "k", n)))("w").bits.isEmpty)
+    }
+  }
+  test("the 8-word merge is a HashAggregate; the 9-word merge uses the Aggregators") {
+    val q = Aggregate(Seq.empty, Seq(Agg(FCount, Col("g"), "n"), Agg(FSum, Col("sd"), "ssd")),
+      Aggregate(Seq("g"), Seq(Agg(FCount, Col("v"), "c"), Agg(FSum, Col("d"), "sd")), w))
+    def aggregates(n: Int): Seq[String] = {
+      val (df, _) = Capture.instrumented(q, Seq(widthPart("w", "k", n)), kernelCatalog)
+      df.collect()
+      executedOperators(df).collect {
+        case h: HashAggregateExec =>
+          assert(h.supportCodegen, s"$n fragments: $h")
+          "Hash"
+        case _: ObjectHashAggregateExec => "ObjectHash"
+        case _: SortAggregateExec       => "Sort"
+      }
+    }
+    val eight = aggregates(512)
+    assert(eight.nonEmpty && eight.forall(_ == "Hash"), eight)
+    assert(aggregates(520).contains("ObjectHash"))
   }
 }
 

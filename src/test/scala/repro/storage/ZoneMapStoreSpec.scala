@@ -205,4 +205,23 @@ class ZoneMapStoreSpec extends SparkSpec {
     assert(rows(all) == rows(inferred))
     assert(rows(pruned) == rows(inferred.filter(sk.toColumn)))
   }
+
+  test("a pruned scan of more than 32 files starts no job and reads only those files") {
+    val store = ZoneMapStore.write(SynthData.uniformKeys(spark, 4000, 1000000, seed = 5), tmp(), "k", 40)
+    assert(store.nFiles == 40)
+    // One fragment per file: fragment i ends at zone i's max.
+    val p = RangePartition("t", "k", TLong, store.zones.init.map(_.max).toVector)
+    val sk = CapturedSketch(p, BitSketch.fromFragments(40, (0 until 40).filter(_ % 6 != 0)))
+    val files = store.matchingFiles(p.mergedRanges(sk.fragments))
+    assert(files.size == 33)
+    val rebuilt = new ZoneMapStore(store.path, store.attr, store.zones)
+    val (scan, jobs) = jobsDuring(rebuilt.prunedScan(spark, sk))
+    assert(jobs == 0, s"building the scan of ${files.size} files started $jobs jobs")
+    val got = scan.collect().map(_.getAs[Long]("k")).sorted.toSeq
+    assert(got == sortedKeys(store.scanAll(spark).filter(sk.toColumn)))
+    def local(f: String) = new org.apache.hadoop.fs.Path(f).toUri.getPath
+    assert(scan.inputFiles.map(local).toSet == files.map(z => local(z.path)).toSet)
+    val read = executedOperators(scan).collect { case s: FileSourceScanExec => s.metrics("numFiles").value }
+    assert(read == Seq(files.size.toLong))
+  }
 }
