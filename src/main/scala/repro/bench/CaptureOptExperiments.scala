@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.{Column, DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.catalyst.encoders.ExpressionEncoder
-import org.apache.spark.sql.functions.{array, coalesce, col, count, hash, lit, max, sum, udaf}
+import org.apache.spark.sql.functions.{array, coalesce, col, count, hash, lit, max, pmod, sum, udaf}
 import repro.algebra._
 import repro.core._
 import repro.workloads.{Crimes, Movies}
@@ -48,18 +48,18 @@ object CaptureOptExperiments {
       "bitOr" -> array(Capture.fragWords(col("frag"), p.nFragments).map(coalesce(_, lit(0L))): _*))
   }
 
-  /** One T7 row: seconds per merge, global (`ratings.agg`) and grouped by
-    * `r_movieid`, as M-Q1 groups.
+  /** One T7 row: seconds per merge, global (`ratings.agg`) and grouped
+    * into 1000 equal buckets of `r_userid`.
     */
   final case class MergeTimes(nFrags: Int, naive: Double, delay: Double, noCopy: Double,
                               bitOr: Double, groupedDelay: Double, groupedBitOr: Double)
 
   /** Returns (T6 rows: (nFrags, caseSec, bsSec), T7 rows). T6 runs at
-    * `fragCounts`, T7 at `mergeFragCounts`.
+    * `fragCounts`; T7 at 1, 8, 32 and 128 words, both sides of
+    * `Capture.MaxWordColumns`.
     */
   def run(spark: SparkSession, crimesSf: Double, ratingsSf: Double,
-          fragCounts: Seq[Int], reps: Int = 3,
-          mergeFragCounts: Seq[Int] = Seq(64, 512, 2048, 8192)): (Seq[(Int, Double, Double)], Seq[MergeTimes]) = {
+          fragCounts: Seq[Int], reps: Int = 3): (Seq[(Int, Double, Double)], Seq[MergeTimes]) = {
     // --- T6: singleton creation over crimes ------------------------------
     val crimes = Crimes.catalog(spark, crimesSf)("crimes").cache()
     crimes.count()
@@ -81,7 +81,7 @@ object CaptureOptExperiments {
     ratings.count()
     header("T7", "Sketch merge: naive vs delay vs no-copy vs bit_or words (s), cf. Fig. 12b",
       "nFrags", "naiveSec", "delaySec", "noCopySec", "bitOrSec", "groupedDelaySec", "groupedBitOrSec")
-    val t7 = for (nf <- mergeFragCounts) yield {
+    val t7 = for (nf <- Seq(64, 512, 2048, 8192)) yield {
       // Partitioned on the uniform `r_userid`: equi-depth keeps all `nf`
       // fragments, where the zipf-skewed `r_movieid` collapses to a few.
       val p = RangePartition.equiDepth(ratings, "ratings", "r_userid", TLong, nf)
@@ -89,10 +89,11 @@ object CaptureOptExperiments {
       def mergeTime(name: String): Double = timed(reps = reps) {
         in.agg(count(col("r_userid")), m(name)).head()
       }
-      // The outer aggregate reads every group's bitset, so the merge is
+      // 1000 groups of about equal size, each spread over every fragment;
+      // the outer aggregate reads every group's bitset, so the merge is
       // not pruned away.
       def groupedTime(name: String): Double = timed(reps = reps) {
-        in.groupBy("r_movieid").agg(count(col("r_userid")).as("c"), m(name).as("m"))
+        in.groupBy(pmod(col("r_userid"), lit(1000L))).agg(count(col("r_userid")).as("c"), m(name).as("m"))
           .agg(sum("c"), max(hash(col("m")))).head()
       }
       val t = MergeTimes(p.nFragments, mergeTime("naive"), mergeTime("delay"), mergeTime("noCopy"),

@@ -40,7 +40,13 @@ object Capture {
 
   /** Widest partition, in 64-bit words (8 words = 512 fragments), whose
     * annotation is merged by the `bit_or` word kernel; wider partitions use
-    * the Aggregators. T7 (`CaptureOptExperiments`) times the crossover.
+    * the Aggregators. At 8 words T7 (`CaptureOptExperiments`) has the
+    * words winning globally and grouped into 1000 balanced groups, and
+    * full captures over ratings (global, grouped on 1000 or 5 keys, γ over
+    * γ) were faster with them at 1–9 words; at 16 words they lost the
+    * 5-key grouping. Under 5 groups the bare grouped word merge was up to
+    * 17% slower at 8 words. No perfbench partition is wider than 4 words,
+    * so 5–8 words are checked by `CaptureSpec`, not by the benchmark.
     */
   val MaxWordColumns = 8
 
@@ -126,13 +132,12 @@ object Capture {
     */
   final case class Captured(answer: DataFrame, rows: Int, sketches: Map[String, CapturedSketch])
 
-  /** The instrumented query `run` executes: the answer's columns plus the
-    * annotation columns of each sketched table, with their state.
+  /** The instrumented query `run` executes, over one partition per table
+    * in `parts`: the answer's columns plus the annotation columns of each
+    * sketched table, with their state.
     */
-  private[core] def instrumented(q: Op, partitions: Seq[RangePartition],
+  private[core] def instrumented(q: Op, parts: Map[String, RangePartition],
                                  catalog: Map[String, DataFrame]): (DataFrame, Map[String, LState]) = {
-    val parts = partitions.map(p => p.table -> p).toMap
-    require(parts.size == partitions.size, "one partition per table")
     val (df, states) = prop(q, parts, catalog)
     require(states.nonEmpty, "no sketched table is accessed by the query")
     (df, states)
@@ -145,8 +150,9 @@ object Capture {
     * usable; capture itself is partition-agnostic.
     */
   def run(q: Op, partitions: Seq[RangePartition], catalog: Map[String, DataFrame]): Captured = {
-    val (df, states) = instrumented(q, partitions, catalog)
     val parts = partitions.map(p => p.table -> p).toMap
+    require(parts.size == partitions.size, "one partition per table")
+    val (df, states) = instrumented(q, parts, catalog)
     val fields = df.schema.fields
     // Per sketched table: its state, its columns and the bitset r7 ORs into.
     val ann = states.toSeq.map { case (t, s) =>

@@ -276,7 +276,7 @@ class CaptureSpec extends SparkSpec {
     val q = Aggregate(Seq.empty, Seq(Agg(FCount, Col("g"), "n"), Agg(FSum, Col("sd"), "ssd")),
       Aggregate(Seq("g"), Seq(Agg(FCount, Col("v"), "c"), Agg(FSum, Col("d"), "sd")), w))
     def aggregates(n: Int): Seq[String] = {
-      val (df, _) = Capture.instrumented(q, Seq(widthPart("w", "k", n)), kernelCatalog)
+      val (df, _) = Capture.instrumented(q, Map("w" -> widthPart("w", "k", n)), kernelCatalog)
       df.collect()
       executedOperators(df).collect {
         case h: HashAggregateExec =>
