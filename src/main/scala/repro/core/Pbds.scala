@@ -51,6 +51,41 @@ object Pbds {
     */
   private[core] final case class Stored(binding: Map[String, Any],
                                         sketches: Map[String, CapturedSketch], rows: Int)
+
+  /** The per-table candidate combinations the safety search tries, in
+    * order, at most 64: sketches on every accessed table first, then
+    * single-table sketches. Candidates whose attribute appears in a group-by
+    * of the query come first — those give accurate fragments-per-group
+    * sketches (the paper's "build the sketch over the query's group-by
+    * attributes" heuristic, Sec. 9.3).
+    */
+  private[repro] def candidateSets(q: Op, perTable0: Map[String, Seq[RangePartition]]): Seq[Map[String, RangePartition]] = {
+    def groupAttrs(op: Op): Set[String] = (op match {
+      case Aggregate(g, _, _) => g.toSet
+      case _                  => Set.empty[String]
+    }) ++ op.children.flatMap(groupAttrs)
+    val grouped = groupAttrs(q)
+    val perTable = perTable0.map { case (t, ps) =>
+      t -> ps.sortBy(p => if (grouped.contains(p.attr)) 0 else 1)
+    }
+    val tables = perTable.keys.toSeq
+    val combos: Iterator[Map[String, RangePartition]] =
+      tables.foldLeft(Iterator(Map.empty[String, RangePartition])) { (acc, t) =>
+        acc.flatMap(m => perTable(t).iterator.map(p => m + (t -> p)))
+      }
+    val fallbackSingles = tables.iterator.flatMap(t => perTable(t).iterator.map(p => Map(t -> p)))
+    (combos ++ fallbackSingles).take(64).toSeq
+  }
+
+  /** First safe combination of `candidateSets`. Its safety checks share one
+    * `SafetyChecker.Checks`, so an obligation two combinations pose is
+    * solved once; the memo is dropped when the search returns.
+    */
+  private[repro] def chooseSafe(q: Op, perTable: Map[String, Seq[RangePartition]],
+                                stats: SafetyChecker.Stats): Option[Map[String, RangePartition]] = {
+    val checks = Some(new SafetyChecker.Checks(q, stats))
+    candidateSets(q, perTable).find(m => SafetyChecker.isSafe(q, m.values.map(_.attr).toSet, stats, checks))
+  }
 }
 
 /** A named parameterized query (Sec. 6). */
@@ -83,31 +118,6 @@ final class PbdsManager(
 
   private def hasTopK(op: Op): Boolean = op.isInstanceOf[TopK] || op.children.exists(hasTopK)
 
-  /** First safe combination of per-table candidates, preferring sketches on
-    * every accessed table, then single-table sketches. Candidates whose
-    * attribute appears in a group-by of the query are tried first — those
-    * give accurate fragments-per-group sketches (the paper's "build the
-    * sketch over the query's group-by attributes" heuristic, Sec. 9.3).
-    */
-  private def chooseSafe(q: Op, perTable0: Map[String, Seq[RangePartition]]): Option[Map[String, RangePartition]] = {
-    def groupAttrs(op: Op): Set[String] = (op match {
-      case Aggregate(g, _, _) => g.toSet
-      case _                  => Set.empty[String]
-    }) ++ op.children.flatMap(groupAttrs)
-    val grouped = groupAttrs(q)
-    val perTable = perTable0.map { case (t, ps) =>
-      t -> ps.sortBy(p => if (grouped.contains(p.attr)) 0 else 1)
-    }
-    val tables = perTable.keys.toSeq
-    val combos: Iterator[Map[String, RangePartition]] =
-      tables.foldLeft(Iterator(Map.empty[String, RangePartition])) { (acc, t) =>
-        acc.flatMap(m => perTable(t).iterator.map(p => m + (t -> p)))
-      }
-    val fallbackSingles = tables.iterator.flatMap(t => perTable(t).iterator.map(p => Map(t -> p)))
-    (combos ++ fallbackSingles).take(64)
-      .find(m => SafetyChecker.isSafe(q, m.values.map(_.attr).toSet, stats))
-  }
-
   /** Decide how to run `template` at `binding` and return its answer with
     * the decision. On `CaptureRun` the DataFrame is a local relation over
     * the rows the instrumented query already computed, so the capture is the
@@ -131,7 +141,7 @@ final class PbdsManager(
     }
     if (perTable.isEmpty) return (plain, Decision(NoPs, None))
 
-    val chosen = safetyCache.getOrElseUpdate(template.name, chooseSafe(template.op, perTable))
+    val chosen = safetyCache.getOrElseUpdate(template.name, chooseSafe(template.op, perTable, stats))
     if (chosen.isEmpty) return (plain, Decision(NoPs, None))
     val parts = chosen.get
 

@@ -138,11 +138,12 @@ final class QueryFormulas(strIndex: Map[String, Long],
     Atom(Eq, Lin.v(vn(a, primed = false)), Lin.v(vn(a, primed = true)))
 
   /** Whether `conds(child) → input(a) op 0` holds for an aggregate's input,
-    * the sign condition of the sum/min/max rules in Figs. 3b and 4b.
+    * the sign condition of the sum/min/max rules in Figs. 3b and 4b, as
+    * decided by `valid`.
     */
-  def inputSign(a: Agg, child: Op, op: CmpOp): Boolean =
+  def inputSign(a: Agg, child: Op, op: CmpOp, valid: Formula => Boolean): Boolean =
     exprLin(a.input, primed = false).exists { lin =>
-      Solver.valid(conds(child, primed = false) ==> Atom(op, lin, Lin.c(0L)))
+      valid(conds(child, primed = false) ==> Atom(op, lin, Lin.c(0L)))
     }
 
   /** Relationship of a projected expression given input-attribute relations:

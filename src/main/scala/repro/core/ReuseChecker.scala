@@ -65,7 +65,7 @@ object ReuseChecker {
         ngp(cO, primed = false, ante = true) && exprs) ==> ngp(cN, primed = true, ante = false))
       val cond2 = Solver.valid((qf.psiFormula(i.psi) &&
         ngp(cN, primed = true, ante = true) && exprs) ==> ngp(cO, primed = false, ante = false))
-      def inputSign(a: Agg, op: repro.smt.CmpOp): Boolean = qf.inputSign(a, cO, op)
+      def inputSign(a: Agg, op: repro.smt.CmpOp): Boolean = qf.inputSign(a, cO, op, Solver.valid)
       val aggPsi = aggsN.zip(aggsO).map { case (aN, aO) =>
         // Under ② each Q' group is a subset of its Q group, so: min grows
         // (b ≤ b'), count/max/positive-sum shrink (b ≥ b'). Min/max need no

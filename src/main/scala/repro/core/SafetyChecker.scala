@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 import repro.algebra._
 import repro.smt.{Atom, Eq => SEq, Formula, Lin, Solver}
 
@@ -20,10 +22,22 @@ object SafetyChecker {
 
   private final case class Info(psi: Map[String, Rel], gc: Boolean)
 
-  def isSafe(q: Op, attrs: Set[String], stats: Stats = Stats()): Boolean = {
-    val qf = QueryFormulas.forQueries(Seq(q), stats.minMax)
-    analyze(q, attrs, qf).gc
+  /** What the checks of one query under one set of statistics share: the
+    * query's formulas, and the verdict of every proof obligation already
+    * discharged. A verdict depends on its formula alone, so the formula is
+    * the whole memo key. A candidate search builds one and drops it when it
+    * returns; it grows by at most the query's distinct obligations.
+    */
+  final class Checks(q: Op, stats: Stats) {
+    private[SafetyChecker] val qf: QueryFormulas = QueryFormulas.forQueries(Seq(q), stats.minMax)
+    private val memo = mutable.HashMap.empty[Formula, Boolean]
+    private[SafetyChecker] def valid(f: Formula): Boolean = memo.getOrElseUpdate(f, Solver.valid(f))
   }
+
+  /** `checks`, if given, must have been built for `q` and `stats`. */
+  def isSafe(q: Op, attrs: Set[String], stats: Stats = Stats(),
+             checks: Option[Checks] = None): Boolean =
+    analyze(q, attrs, checks.getOrElse(new Checks(q, stats))).gc
 
   private def baseAttrs(q: Op): Set[String] =
     Algebra.tables(q).flatMap(_.schema.map(_._1)).toSet
@@ -43,14 +57,16 @@ object SafetyChecker {
   }
 
   /** Ψ ∧ conds(Q₁') ∧ conds(Q₁) [∧ extra] → goal, discharged by the solver. */
-  private def checkImplies(qf: QueryFormulas, psi: Map[String, Rel], sub: Op,
+  private def checkImplies(ck: Checks, psi: Map[String, Rel], sub: Op,
                            extra: Formula, goal: Formula): Boolean = {
+    val qf = ck.qf
     val ante = qf.psiFormula(psi) && qf.conds(sub, primed = false) &&
       qf.conds(sub, primed = true) && extra
-    Solver.valid(ante ==> goal)
+    ck.valid(ante ==> goal)
   }
 
-  private def analyze(q: Op, x: Set[String], qf: QueryFormulas): Info = {
+  private def analyze(q: Op, x: Set[String], ck: Checks): Info = {
+    val qf = ck.qf
     val x1 = x intersect baseAttrs(q)
     // X = ∅ for this subtree: D_PS keeps these relations unchanged (Fig. 3 row 1).
     if (x1.isEmpty) return Info(QueryFormulas.allEq(allAttrs(q)), gc = true)
@@ -58,52 +74,52 @@ object SafetyChecker {
       case t: TableRef => Info(QueryFormulas.allEq(t.columns), gc = true)
 
       case Select(theta, c) =>
-        val i = analyze(c, x, qf)
-        val ok = i.gc && checkImplies(qf, i.psi, c,
+        val i = analyze(c, x, ck)
+        val ok = i.gc && checkImplies(ck, i.psi, c,
           qf.predIR(theta, primed = false, ante = true),
           qf.predIR(theta, primed = true, ante = false))
         Info(i.psi, ok)
 
       case Project(items, c) =>
-        val i = analyze(c, x, qf)
+        val i = analyze(c, x, ck)
         Info(i.psi ++ items.map { case (e, a) => a -> qf.projRel(e, i.psi) }.toMap, i.gc)
 
       case Aggregate(g, aggs, c) =>
-        val i = analyze(c, x, qf)
+        val i = analyze(c, x, ck)
         val groupsEqual = g.forall { gc =>
           i.psi.get(gc).contains(REq) ||
-            checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(gc))
+            checkImplies(ck, i.psi, c, FTrueF, qf.eqGoal(gc))
         }
         val psiOut: Map[String, Rel] =
-          i.psi ++ aggs.map(a => a.alias -> aggRel(a, g, c, x1, qf)).toMap
+          i.psi ++ aggs.map(a => a.alias -> aggRel(a, g, c, x1, ck)).toMap
         Info(psiOut, i.gc && groupsEqual)
 
       case Distinct(c) =>
-        val i = analyze(c, x, qf)
+        val i = analyze(c, x, ck)
         val ok = i.gc && c.columns.forall { a =>
-          i.psi.get(a).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(a))
+          i.psi.get(a).contains(REq) || checkImplies(ck, i.psi, c, FTrueF, qf.eqGoal(a))
         }
         Info(i.psi, ok)
 
       case TopK(order, _, c) =>
-        val i = analyze(c, x, qf)
+        val i = analyze(c, x, ck)
         val ok = i.gc && order.forall { case (o, _) =>
-          i.psi.get(o).contains(REq) || checkImplies(qf, i.psi, c, FTrueF, qf.eqGoal(o))
+          i.psi.get(o).contains(REq) || checkImplies(ck, i.psi, c, FTrueF, qf.eqGoal(o))
         }
         Info(i.psi, ok)
 
       case Join(l, r, on) =>
-        val li = analyze(l, x, qf); val ri = analyze(r, x, qf)
+        val li = analyze(l, x, ck); val ri = analyze(r, x, ck)
         val ok = li.gc && ri.gc && on.forall { case (a, b) =>
           (li.psi.get(a).contains(REq) ||
-            checkImplies(qf, li.psi, l, FTrueF, qf.eqGoal(a))) &&
+            checkImplies(ck, li.psi, l, FTrueF, qf.eqGoal(a))) &&
           (ri.psi.get(b).contains(REq) ||
-            checkImplies(qf, ri.psi, r, FTrueF, qf.eqGoal(b)))
+            checkImplies(ck, ri.psi, r, FTrueF, qf.eqGoal(b)))
         }
         Info(li.psi ++ ri.psi, ok)
 
       case UnionAll(l, r) =>
-        val li = analyze(l, x, qf); val ri = analyze(r, x, qf)
+        val li = analyze(l, x, ck); val ri = analyze(r, x, ck)
         Info(QueryFormulas.unionPsi(li.psi, ri.psi), li.gc && ri.gc)
     }
   }
@@ -112,17 +128,18 @@ object SafetyChecker {
 
   /** Fig. 3b: relation of an aggregation output b to b'. */
   private def aggRel(a: Agg, g: Seq[String], child: Op, x1: Set[String],
-                     qf: QueryFormulas): Rel = {
+                     ck: Checks): Rel = {
+    val qf = ck.qf
     // Case (i): every sketch attribute is (provably equal to) a group-by
     // attribute — groups align with fragments, results are identical.
     val xInGroups = x1.forall { xa =>
       g.contains(xa) || g.exists { gc =>
-        Solver.valid(qf.conds(child, primed = false) ==>
+        ck.valid(qf.conds(child, primed = false) ==>
           Atom(SEq, Lin.v(qf.vn(xa, primed = false)), Lin.v(qf.vn(gc, primed = false))))
       }
     }
     if (xInGroups) return REq
-    def inputSign(op: repro.smt.CmpOp): Boolean = qf.inputSign(a, child, op)
+    def inputSign(op: repro.smt.CmpOp): Boolean = qf.inputSign(a, child, op, ck.valid)
     a.fn match {
       case FCount => RLe // Case (ii): counts only shrink on a subset
       case FSum if inputSign(repro.smt.Ge) => RLe

@@ -1,10 +1,13 @@
 package repro.smt
 
+import scala.collection.mutable
+
 /** Sound satisfiability/validity checker for quantifier-free linear real
   * arithmetic — the stand-in for the Z3 calls in the paper (Sec. 5/6).
   *
   * Algorithm: negate, push negations (NNF), expand to DNF, decide each
-  * conjunct of linear atoms with Fourier–Motzkin variable elimination.
+  * conjunct of linear atoms: substitute its equalities away, then run
+  * Fourier–Motzkin variable elimination on each variable-disjoint component.
   * FM over the reals is a complete decision procedure for conjunctions of
   * linear constraints; unsat over ℝ implies unsat over ℤ (subset) and over
   * lexicographically ordered strings/dates once mapped order-preservingly to
@@ -74,39 +77,83 @@ object Solver {
     case FNot(_)      => throw new IllegalStateException("NNF violated")
   }
 
-  /** Decide satisfiability of a conjunction of atoms via Fourier–Motzkin. */
+  /** Decide a conjunction of atoms exactly over ℚ. Each equality is solved
+    * for one of its variables and substituted into the atoms left (Gaussian
+    * elimination); one that reduces to a non-zero constant is unsat. The
+    * remaining inequalities split into variable-disjoint components, and the
+    * conjunction is sat iff Fourier–Motzkin finds every component sat.
+    */
   private def conjSat(atoms: Seq[Atom]): Boolean = {
-    // Normalize to lin (< | <=) 0; equalities become two inequalities.
-    var cons = atoms.flatMap { case Atom(op, l, r) =>
+    // Normalize to lin (< | <=) 0, keeping equalities as lin = 0.
+    val eqs = Seq.newBuilder[Lin]
+    val ineqs = Seq.newBuilder[Cons]
+    atoms.foreach { case Atom(op, l, r) =>
       val d = l - r
       op match {
-        case Lt => Seq(Cons(d, strict = true))
-        case Le => Seq(Cons(d, strict = false))
-        case Gt => Seq(Cons(d * Rat(-1), strict = true))
-        case Ge => Seq(Cons(d * Rat(-1), strict = false))
-        case Eq => Seq(Cons(d, strict = false), Cons(d * Rat(-1), strict = false))
+        case Lt => ineqs += Cons(d, strict = true)
+        case Le => ineqs += Cons(d, strict = false)
+        case Gt => ineqs += Cons(d * Rat(-1), strict = true)
+        case Ge => ineqs += Cons(d * Rat(-1), strict = false)
+        case Eq => eqs += d
         case Ne => throw new IllegalStateException("Ne must be split before FM")
       }
     }
+    var pending = eqs.result()
+    var cons = ineqs.result()
+    while (pending.nonEmpty) {
+      val e = pending.head
+      pending = pending.tail
+      if (e.isConst) { if (!e.const.isZero) return false }
+      else {
+        val x = e.vars.min
+        val sol = solveFor(e, x)
+        pending = pending.map(subst(_, x, sol))
+        cons = cons.map(c => Cons(subst(c.lin, x, sol), c.strict))
+      }
+    }
+    val (ground, open) = cons.partition(_.lin.isConst)
+    // Union-find over variables: constraints sharing a variable share a root.
+    val parent = mutable.HashMap.empty[String, String]
+    def find(v: String): String = parent.get(v) match {
+      case None    => v
+      case Some(p) => val r = find(p); parent(v) = r; r
+    }
+    open.foreach { c =>
+      val root = find(c.lin.vars.head)
+      c.lin.vars.foreach { v => val r = find(v); if (r != root) parent(r) = root }
+    }
+    ground.forall(holds) && open.groupBy(c => find(c.lin.vars.head)).values.forall(fmSat)
+  }
+
+  /** `x = sol` is the solution of `lin = 0` (or its bound, for `lin ≤ 0`). */
+  private def solveFor(lin: Lin, x: String): Lin =
+    (lin - Lin(Map(x -> lin.coeff(x)), Rat.zero)) * (Rat(-1) / lin.coeff(x))
+
+  /** `lin` with `sol` in place of `x`. */
+  private def subst(lin: Lin, x: String, sol: Lin): Lin = {
+    val c = lin.coeff(x)
+    if (c.isZero) lin else Lin(lin.coeffs - x, lin.const) + sol * c
+  }
+
+  private def holds(c: Cons): Boolean =
+    if (c.strict) c.lin.const.signum < 0 else c.lin.const.signum <= 0
+
+  /** Fourier–Motzkin variable elimination over one set of constraints. */
+  private def fmSat(cons0: Seq[Cons]): Boolean = {
+    var cons = cons0
     var vars = cons.flatMap(_.lin.vars).distinct
     while (vars.nonEmpty) {
       // Eliminate the variable occurring least often to bound pair blow-up.
       val x = vars.minBy(v => cons.count(_.lin.vars.contains(v)))
       val (withX, without) = cons.partition(_.lin.vars.contains(x))
       // Solve each constraint for x: x <= ub (coeff > 0) or lb <= x (coeff < 0).
-      val ubs = withX.collect { case Cons(lin, s) if lin.coeff(x).signum > 0 =>
-        ((lin - Lin(Map(x -> lin.coeff(x)), Rat.zero)) * (Rat(-1) / lin.coeff(x)), s)
-      }
-      val lbs = withX.collect { case Cons(lin, s) if lin.coeff(x).signum < 0 =>
-        ((lin - Lin(Map(x -> lin.coeff(x)), Rat.zero)) * (Rat(-1) / lin.coeff(x)), s)
-      }
+      val ubs = withX.collect { case Cons(lin, s) if lin.coeff(x).signum > 0 => (solveFor(lin, x), s) }
+      val lbs = withX.collect { case Cons(lin, s) if lin.coeff(x).signum < 0 => (solveFor(lin, x), s) }
       cons = without ++ (for ((lb, ls) <- lbs; (ub, us) <- ubs)
         yield Cons(lb - ub, strict = ls || us))
       vars = cons.flatMap(_.lin.vars).distinct
       if (cons.size > 200000) return true // blow-up guard: unknown → sat
     }
-    cons.forall { c =>
-      if (c.strict) c.lin.const.signum < 0 else c.lin.const.signum <= 0
-    }
+    cons.forall(holds)
   }
 }

@@ -5,6 +5,7 @@ import java.sql.Date
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SynthData
 import repro.algebra._
+import repro.core.RangePartition
 import repro.core.SafetyChecker.Stats
 
 /** TPC-H-lite workload: the paper's TPC-H queries adapted to the synthetic
@@ -137,6 +138,29 @@ object TpchLite {
     Workload("Q18", q18, Map("lineitem" -> "l_orderkey", "orders" -> "o_orderkey")),
     Workload("Q19", q19, Map("lineitem" -> "l_partkey", "part" -> "p_partkey")),
   )
+
+  /** The templates of the tpch-topk benchmark workload. */
+  val topKQueries: Seq[Workload] = queries.filter(w => Set("Q1", "Q3", "Q5", "Q10", "Q15", "Q18")(w.name))
+
+  /** The candidate sketch attributes per table that the tpch-topk
+    * benchmark workload offers its manager, tables in the same order (the
+    * order of the safety search's combinations).
+    */
+  val topKCandidates: Map[String, Seq[String]] = Map(
+    "lineitem" -> Seq("l_orderkey", "l_suppkey", "l_returnflag"),
+    "orders"   -> Seq("o_orderkey", "o_custkey"),
+    "customer" -> Seq("c_custkey", "c_nationkey"),
+    "supplier" -> Seq("s_suppkey", "s_nationkey"))
+
+  /** `topKCandidates` of the tables `q` reads, as one-fragment partitions:
+    * the safety check looks only at the attribute.
+    */
+  def topKCandidatesFor(q: Op): Map[String, Seq[RangePartition]] = {
+    val types = Algebra.baseTypes(q)
+    topKCandidates.collect { case (t, as) if Algebra.tables(q).exists(_.name == t) =>
+      t -> as.map(a => RangePartition(t, a, types(a), Vector.empty))
+    }
+  }
 
   /** Generate the catalog at a scale factor (lineitem2 = aliased lineitem). */
   def catalog(spark: SparkSession, sf: Double): Map[String, DataFrame] = {

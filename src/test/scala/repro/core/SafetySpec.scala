@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{Fixtures, SparkSpec}
 import repro.algebra._
+import repro.workloads.TpchLite
 import Fixtures._
 import SafetyChecker.{isSafe, Stats}
 
@@ -99,6 +100,24 @@ class SafetySpec extends SparkSpec {
       val q = Algebra.bind(t, Map("p" -> v))
       assert(isSafe(q, Set("popden"), stats))
       assert(isSafe(q, Set("state"), stats))
+    }
+  }
+
+  test("tpch-topk: the safety search picks these sets; shared verdicts equal fresh ones") {
+    val tpchStats = TpchLite.stats(0.02)
+    val expected = Map(
+      "Q1" -> Set("l_returnflag"), "Q3" -> Set("l_orderkey"), "Q5" -> Set("c_nationkey"),
+      "Q10" -> Set("o_custkey"), "Q15" -> Set("l_suppkey", "s_suppkey"),
+      "Q18" -> Set("l_orderkey", "o_orderkey"))
+    for (w <- TpchLite.topKQueries) {
+      val perTable = TpchLite.topKCandidatesFor(w.q)
+      val chosen = Pbds.chooseSafe(w.q, perTable, tpchStats)
+      assert(chosen.map(_.values.map(_.attr).toSet).contains(expected(w.name)), w.name)
+      val checks = Some(new SafetyChecker.Checks(w.q, tpchStats))
+      for (m <- Pbds.candidateSets(w.q, perTable)) {
+        val attrs = m.values.map(_.attr).toSet
+        assert(isSafe(w.q, attrs, tpchStats, checks) == isSafe(w.q, attrs, tpchStats), s"${w.name} $attrs")
+      }
     }
   }
 

@@ -146,6 +146,29 @@ class SolverSpec extends AnyFunSuite {
     assert(Solver.valid(ante ==> cons))
   }
 
+  // --- equality substitution and components -----------------------------
+  test("equality with a non-unit coefficient: 2x = y, y = 3, x > 2 is unsat") {
+    assert(!Solver.satisfiable(
+      Atom(Eq, v("x") * Rat(2), v("y")) && Atom(Eq, v("y"), k(3)) && Atom(Gt, v("x"), k(2))))
+    assert(Solver.satisfiable(
+      Atom(Eq, v("x") * Rat(2), v("y")) && Atom(Eq, v("y"), k(3)) && Atom(Gt, v("x"), k(1))))
+  }
+  test("contradiction only after substitution: x = y, y = z, x = z + 1 is unsat") {
+    assert(!Solver.satisfiable(
+      Atom(Eq, v("x"), v("y")) && Atom(Eq, v("y"), v("z")) && Atom(Eq, v("x"), v("z") + k(1))))
+  }
+  test("strictness survives substitution: x = y, y < x unsat; x = y, y <= x sat") {
+    assert(!Solver.satisfiable(Atom(Eq, v("x"), v("y")) && Atom(Lt, v("y"), v("x"))))
+    assert(Solver.satisfiable(Atom(Eq, v("x"), v("y")) && Atom(Le, v("y"), v("x"))))
+  }
+  test("an unsat component sharing no variable with the goal makes it valid") {
+    // the antecedent's contradiction is over a, b; the goal is over y, z
+    val ante = Atom(Eq, v("a"), v("b")) && Atom(Lt, v("a"), v("b")) && Atom(Le, v("y"), k(3))
+    assert(Solver.valid(ante ==> Atom(Gt, v("z"), v("y"))))
+    // without it, the goal does not follow
+    assert(!Solver.valid(Atom(Le, v("y"), k(3)) ==> Atom(Gt, v("z"), v("y"))))
+  }
+
   // --- property: solver never calls a truly-satisfied system unsat -----
   private val ops = Seq[CmpOp](Lt, Le, Eq, Ne, Ge, Gt)
   private val names = Seq("x", "y", "z")
@@ -175,6 +198,53 @@ class SolverSpec extends AnyFunSuite {
       }
     }
     assert(checked > 20, s"property exercised only $checked times")
+  }
+
+  /** Value of `f` under an integer assignment. */
+  private def eval(f: Formula, asg: Map[String, Long]): Boolean = f match {
+    case FTrue          => true
+    case FFalse         => false
+    case FNot(g)        => !eval(g, asg)
+    case FAnd(fs)       => fs.forall(eval(_, asg))
+    case FOr(fs)        => fs.exists(eval(_, asg))
+    case Atom(op, l, r) =>
+      val d = (l - r).coeffs.foldLeft((l - r).const) { case (acc, (x, c)) => acc + c * Rat(asg(x)) }
+      op match {
+        case Lt => d.signum < 0;  case Le => d.signum <= 0; case Eq => d.isZero
+        case Ne => !d.isZero;     case Ge => d.signum >= 0; case Gt => d.signum > 0
+      }
+  }
+
+  test("property: a valid formula has no counterexample in [-4, 4]^3") {
+    val rnd = new scala.util.Random(11)
+    val cmp = Seq[CmpOp](Eq, Ne, Lt, Le)
+    // Each side is c + a·u (+ b·w): at most two variables, small integer
+    // coefficients. Atoms come from a pool of three per formula, so that
+    // formulas repeat atoms and some are valid by their structure.
+    def term(): Lin = Seq.fill(1 + rnd.nextInt(2))(names(rnd.nextInt(3))).foldLeft(Lin.c(rnd.nextLong(7) - 3)) {
+      (acc, n) => acc + v(n) * Rat(rnd.nextLong(5) - 2)
+    }
+    def formula(pool: IndexedSeq[Formula], depth: Int): Formula =
+      if (depth == 0 || rnd.nextInt(3) == 0) pool(rnd.nextInt(pool.size))
+      else rnd.nextInt(4) match {
+        case 0 => formula(pool, depth - 1) && formula(pool, depth - 1)
+        case 1 => formula(pool, depth - 1) || formula(pool, depth - 1)
+        case 2 => !formula(pool, depth - 1)
+        case _ => formula(pool, depth - 1) ==> formula(pool, depth - 1)
+      }
+    val grid = for (x <- -4L to 4L; y <- -4L to 4L; z <- -4L to 4L)
+      yield Map("x" -> x, "y" -> y, "z" -> z)
+    var valid = 0
+    for (_ <- 1 to 2000) {
+      val pool = IndexedSeq.fill(3)(Atom(cmp(rnd.nextInt(cmp.size)), term(), term()): Formula)
+      val f = formula(pool, 3)
+      if (Solver.valid(f)) {
+        valid += 1
+        grid.find(a => !eval(f, a)).foreach(a => fail(s"valid but falsified by $a: $f"))
+      }
+    }
+    info(s"$valid valid formulas checked")
+    assert(valid > 200, s"property exercised only $valid times")
   }
 
   test("property: valid implications detected for transitive chains") {
